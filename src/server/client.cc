@@ -2,10 +2,13 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
+#include <cmath>
 #include <cstring>
 #include <utility>
 
@@ -49,6 +52,10 @@ Result<WireClient> WireClient::Connect(const std::string& host, int port) {
     return Status::IOError("connect " + host + ":" + std::to_string(port) +
                            ": " + detail);
   }
+  // A request frame longer than one segment ends in a short one, which
+  // Nagle would hold until the server ACKs the rest.
+  const int one = 1;
+  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
   WireClient client;
   client.fd_ = fd;
   return client;
@@ -82,6 +89,21 @@ Result<WireResponse> WireClient::Command(const std::string& tenant,
   request.command = command;
   request.arg = arg;
   return RoundTrip(request);
+}
+
+RetryBackoff NextRetryBackoff(const RetryBackoff& previous,
+                              const WireResponse& answer, double jitter) {
+  constexpr double kMinHintMs = 1.0;
+  constexpr double kMaxWaitMs = 1000.0;
+  // Past 2^30 the 1 s cap has long applied; k stops counting there.
+  constexpr int kMaxRejections = 30;
+  if (!answer.error.IsResourceExhausted()) return RetryBackoff{};
+  RetryBackoff next;
+  next.rejections = std::min(previous.rejections, kMaxRejections - 1) + 1;
+  const double hint_ms = std::max(kMinHintMs, answer.stats.retry_after_ms);
+  next.wait_ms = std::min(kMaxWaitMs, std::ldexp(hint_ms, next.rejections)) *
+                 (0.5 + std::clamp(jitter, 0.0, 1.0));
+  return next;
 }
 
 }  // namespace vdb::server

@@ -1,4 +1,5 @@
-// Blocking wire-protocol client for one server connection.
+// Blocking wire-protocol client for one server connection, and the backoff
+// a client applies after admission rejections.
 
 #ifndef VDB_SERVER_CLIENT_H_
 #define VDB_SERVER_CLIENT_H_
@@ -45,6 +46,23 @@ class WireClient {
 
   int fd_ = -1;
 };
+
+/// Pacing of a closed-loop client after admission rejections (DESIGN.md
+/// §13). After its k-th consecutive ResourceExhausted answer a client
+/// waits min(1 s, hint * 2^k) * (0.5 + jitter), where hint is the
+/// answer's stats.retry_after_ms but at least 1 ms; any other answer
+/// resets k and the wait to 0. Without it, rejected clients re-send at
+/// once and burn the CPU that the admitted queries need.
+struct RetryBackoff {
+  int rejections = 0;   // k
+  double wait_ms = 0.0;  // pause before the next request
+};
+
+/// The backoff after `answer`, given the one before it. `jitter` is a
+/// uniform draw from [0, 1) supplied by the caller, so the function is
+/// pure.
+RetryBackoff NextRetryBackoff(const RetryBackoff& previous,
+                              const WireResponse& answer, double jitter);
 
 }  // namespace vdb::server
 

@@ -2,6 +2,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -21,6 +22,10 @@ namespace vdb::server {
 namespace {
 
 using Clock = std::chrono::steady_clock;
+
+/// Each executed query moves a tenant's retry-after hint this fraction of
+/// the way to its own host time.
+constexpr double kRetryHintWeight = 0.2;
 
 double MillisSince(Clock::time_point start) {
   return 1e-6 * static_cast<double>(
@@ -144,13 +149,15 @@ void Server::Stop() {
   ::shutdown(listen_fd_, SHUT_RDWR);
   ::close(listen_fd_);
   if (accept_thread_.joinable()) accept_thread_.join();
-  std::vector<std::thread> threads;
+  std::list<Connection> conns;
   {
     std::lock_guard<std::mutex> lock(conn_mu_);
-    for (const int fd : conn_fds_) ::shutdown(fd, SHUT_RDWR);
-    threads.swap(conn_threads_);
+    for (const Connection& conn : conns_) {
+      if (!conn.done) ::shutdown(conn.fd, SHUT_RDWR);
+    }
+    conns.swap(conns_);
   }
-  for (std::thread& t : threads) t.join();
+  for (Connection& conn : conns) conn.thread.join();
   pool_.Wait();
   started_ = false;
 }
@@ -162,17 +169,37 @@ void Server::AcceptLoop() {
       if (errno == EINTR) continue;
       return;  // listener closed by Stop (or fatal accept error)
     }
-    std::lock_guard<std::mutex> lock(conn_mu_);
-    if (stopping_.load()) {
-      ::close(fd);
-      return;
+    // A frame longer than one segment ends in a short one, which Nagle
+    // would hold until the client ACKs the rest.
+    const int one = 1;
+    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+    std::list<Connection> finished;
+    {
+      std::lock_guard<std::mutex> lock(conn_mu_);
+      if (stopping_.load()) {
+        ::close(fd);
+        return;
+      }
+      for (auto it = conns_.begin(); it != conns_.end();) {
+        const auto next = std::next(it);
+        if (it->done) finished.splice(finished.end(), conns_, it);
+        it = next;
+      }
+      Connection* conn = &conns_.emplace_back();
+      conn->fd = fd;
+      conn->thread = std::thread([this, conn] { HandleConnection(conn); });
     }
-    conn_fds_.push_back(fd);
-    conn_threads_.emplace_back([this, fd] { HandleConnection(fd); });
+    for (Connection& conn : finished) conn.thread.join();
   }
 }
 
-void Server::HandleConnection(int fd) {
+size_t Server::num_connections() const {
+  std::lock_guard<std::mutex> lock(conn_mu_);
+  return conns_.size();
+}
+
+void Server::HandleConnection(Connection* conn) {
+  const int fd = conn->fd;
   std::string payload;
   while (true) {
     Result<bool> alive = ReadFrame(fd, &payload);
@@ -186,6 +213,12 @@ void Server::HandleConnection(int fd) {
     if (!*alive) break;  // clean EOF
     const std::string response = HandleRequest(payload);
     if (!WriteFrame(fd, response).ok()) break;
+  }
+  {
+    // Leave the live set before closing: once closed, the descriptor
+    // number may be reused, and Stop must not shut that one down.
+    std::lock_guard<std::mutex> lock(conn_mu_);
+    conn->done = true;
   }
   ::close(fd);
 }
@@ -204,11 +237,12 @@ std::string Server::HandleRequest(const std::string& payload) {
   }
   if (!request.command.empty()) return HandleCommand(tenant, request);
 
+  QueryStats rejection;
   Result<std::future<std::string>> admitted =
-      SubmitQuery(tenant, request.sql);
+      SubmitQuery(tenant, request.sql, &rejection.retry_after_ms);
   if (!admitted.ok()) {
     rejected_->Add();
-    return FormatErrorResponse(admitted.status(), QueryStats{});
+    return FormatErrorResponse(admitted.status(), rejection);
   }
   admitted_->Add();
   return admitted->get();
@@ -243,7 +277,8 @@ std::string Server::HandleCommand(Tenant* tenant,
 }
 
 Result<std::future<std::string>> Server::SubmitQuery(Tenant* tenant,
-                                                     std::string sql) {
+                                                     std::string sql,
+                                                     double* retry_after_ms) {
   Job job;
   job.sql = std::move(sql);
   job.enqueued = Clock::now();
@@ -253,6 +288,7 @@ Result<std::future<std::string>> Server::SubmitQuery(Tenant* tenant,
     const int cap =
         tenant->config.max_concurrent + tenant->config.queue_depth;
     if (tenant->inflight >= cap) {
+      *retry_after_ms = tenant->recent_host_ms;
       return Status::ResourceExhausted(
           "tenant " + tenant->config.name + " is at capacity (" +
           std::to_string(cap) + " queries in flight)");
@@ -275,19 +311,28 @@ void Server::DrainOne(Tenant* tenant) {
     job = std::move(tenant->queue.front());
     tenant->queue.pop_front();
   }
-  job.response.set_value(ExecuteJob(tenant, &job));
-  std::lock_guard<std::mutex> lock(tenant->mu);
-  --tenant->inflight;
-  if (!tenant->queue.empty()) {
-    // Re-enqueue rather than loop: the pool's FIFO order interleaves the
-    // other tenants' drain tasks, giving cross-tenant round-robin.
-    pool_.Submit([this, tenant] { DrainOne(tenant); });
-  } else {
-    tenant->drain_scheduled = false;
+  double host_ms = 0.0;
+  std::string response = ExecuteJob(tenant, &job, &host_ms);
+  {
+    // Free the slot before answering: a closed-loop client sends again
+    // as soon as it reads the answer, and must not be rejected for its
+    // own finished query.
+    std::lock_guard<std::mutex> lock(tenant->mu);
+    --tenant->inflight;
+    tenant->recent_host_ms +=
+        kRetryHintWeight * (host_ms - tenant->recent_host_ms);
+    if (!tenant->queue.empty()) {
+      // Re-enqueue rather than loop: the pool's FIFO order interleaves the
+      // other tenants' drain tasks, giving cross-tenant round-robin.
+      pool_.Submit([this, tenant] { DrainOne(tenant); });
+    } else {
+      tenant->drain_scheduled = false;
+    }
   }
+  job.response.set_value(std::move(response));
 }
 
-std::string Server::ExecuteJob(Tenant* tenant, Job* job) {
+std::string Server::ExecuteJob(Tenant* tenant, Job* job, double* host_ms) {
   std::lock_guard<std::mutex> exec_lock(tenant->exec_mu);
   QueryStats stats;
   stats.queue_ms = MillisSince(job->enqueued);
@@ -295,6 +340,7 @@ std::string Server::ExecuteJob(Tenant* tenant, Job* job) {
   Result<exec::QueryResult> result =
       tenant->db.Execute(job->sql, *tenant->vm);
   stats.host_ms = MillisSince(start);
+  *host_ms = stats.host_ms;
   tenant->latency->RecordSeconds(1e-3 * stats.host_ms);
   if (!result.ok()) {
     if (result.status().IsBudgetExceeded()) aborted_budget_->Add();

@@ -9,6 +9,7 @@
 #include <chrono>
 #include <deque>
 #include <future>
+#include <list>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -54,6 +55,11 @@ struct ServerOptions {
 /// Admission control fast-fails: a request arriving while the tenant
 /// already has max_concurrent + queue_depth admitted-but-unfinished
 /// queries is rejected immediately with ResourceExhausted, never parked.
+/// The rejection's stats.retry_after_ms is the tenant's recent per-query
+/// host time, so a client that backs off by it (RetryBackoff) does not
+/// spin against a full tenant. A query's slot is freed before its answer
+/// is sent, so a closed-loop client never finds its own finished query
+/// still holding it.
 ///
 /// Per-query budgets are enforced cooperatively inside both engines (see
 /// exec/budget.h): an over-budget query aborts with kBudgetExceeded,
@@ -88,6 +94,10 @@ class Server {
   /// Number of tenants (for tools/tests).
   size_t num_tenants() const { return tenants_.size(); }
 
+  /// Number of connections the server still holds: live ones plus
+  /// finished ones whose threads the next accept will join (for tests).
+  size_t num_connections() const;
+
  private:
   struct Job {
     std::string sql;
@@ -101,10 +111,13 @@ class Server {
     sim::VirtualMachine* vm = nullptr;  // owned by vmm_
     obs::Histogram* latency = nullptr;
 
-    std::mutex mu;  // guards queue / inflight / drain_scheduled
+    // Guards queue / inflight / drain_scheduled / recent_host_ms.
+    std::mutex mu;
     std::deque<Job> queue;
     int inflight = 0;
     bool drain_scheduled = false;
+    /// EWMA of executed queries' host_ms: the retry-after hint.
+    double recent_host_ms = 0.0;
 
     /// Serializes query execution against Reload's config mutation.
     std::mutex exec_mu;
@@ -113,15 +126,24 @@ class Server {
   Status SetUpTenant(Tenant* tenant);
   Tenant* FindTenant(const std::string& name);
 
+  /// One accepted client socket and the thread serving it.
+  struct Connection {
+    int fd = -1;
+    bool done = false;  // guarded by conn_mu_; set before fd is closed
+    std::thread thread;
+  };
+
   /// Admits or rejects; on admission returns the future for the response
-  /// frame payload.
+  /// frame payload, on rejection sets `*retry_after_ms`.
   Result<std::future<std::string>> SubmitQuery(Tenant* tenant,
-                                               std::string sql);
+                                               std::string sql,
+                                               double* retry_after_ms);
   void DrainOne(Tenant* tenant);
-  std::string ExecuteJob(Tenant* tenant, Job* job);
+  /// Runs the job and formats its answer; `*host_ms` gets its host time.
+  std::string ExecuteJob(Tenant* tenant, Job* job, double* host_ms);
 
   void AcceptLoop();
-  void HandleConnection(int fd);
+  void HandleConnection(Connection* conn);
   std::string HandleRequest(const std::string& payload);
   std::string HandleCommand(Tenant* tenant, const WireRequest& request);
 
@@ -140,9 +162,10 @@ class Server {
   int port_ = 0;
   std::atomic<bool> stopping_{false};
   std::thread accept_thread_;
-  std::mutex conn_mu_;
-  std::vector<std::thread> conn_threads_;
-  std::vector<int> conn_fds_;
+  mutable std::mutex conn_mu_;
+  /// Live and finished-but-unjoined connections; AcceptLoop joins the
+  /// finished ones, Stop the rest.
+  std::list<Connection> conns_;
   bool started_ = false;
 };
 

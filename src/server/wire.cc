@@ -2,6 +2,8 @@
 
 #include <arpa/inet.h>
 #include <errno.h>
+#include <sys/socket.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 #include <cstring>
@@ -32,19 +34,6 @@ constexpr CodeNameEntry kCodeNames[] = {
     {StatusCode::kInternal, "Internal"},
     {StatusCode::kBudgetExceeded, "BudgetExceeded"},
 };
-
-Status WriteFull(int fd, const char* data, size_t size) {
-  size_t written = 0;
-  while (written < size) {
-    const ssize_t n = ::write(fd, data + written, size - written);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return Status::IOError(std::string("write: ") + std::strerror(errno));
-    }
-    written += static_cast<size_t>(n);
-  }
-  return Status::OK();
-}
 
 /// Reads exactly `size` bytes. Returns false on EOF before the first byte;
 /// EOF mid-buffer is an error (truncated frame).
@@ -86,6 +75,10 @@ void WriteStats(JsonWriter* w, const QueryStats& stats) {
   w->Uint(stats.pages_pruned);
   w->Key("pages_scanned");
   w->Uint(stats.pages_scanned);
+  if (stats.retry_after_ms > 0) {
+    w->Key("retry_after_ms");
+    w->Number(stats.retry_after_ms);
+  }
   w->EndObject();
 }
 
@@ -103,6 +96,7 @@ void ParseStats(const JsonValue& doc, QueryStats* stats) {
   stats->pages_pruned = static_cast<uint64_t>(s->GetNumber("pages_pruned"));
   stats->pages_scanned =
       static_cast<uint64_t>(s->GetNumber("pages_scanned"));
+  stats->retry_after_ms = s->GetNumber("retry_after_ms");
 }
 
 }  // namespace
@@ -129,8 +123,34 @@ Status WriteFrame(int fd, const std::string& payload) {
   char prefix[4];
   const uint32_t n = htonl(static_cast<uint32_t>(payload.size()));
   std::memcpy(prefix, &n, 4);
-  VDB_RETURN_NOT_OK(WriteFull(fd, prefix, 4));
-  return WriteFull(fd, payload.data(), payload.size());
+  // Prefix and payload leave in one sendmsg: written separately, the
+  // payload waits behind Nagle until the peer's delayed ACK of the prefix.
+  // MSG_NOSIGNAL turns a peer that hung up into EPIPE for this connection
+  // instead of a process-killing SIGPIPE.
+  iovec parts[2] = {{prefix, 4},
+                    {const_cast<char*>(payload.data()), payload.size()}};
+  msghdr msg{};
+  msg.msg_iov = parts;
+  msg.msg_iovlen = 2;
+  while (msg.msg_iovlen > 0) {
+    const ssize_t sent = ::sendmsg(fd, &msg, MSG_NOSIGNAL);
+    if (sent < 0) {
+      if (errno == EINTR) continue;
+      return Status::IOError(std::string("send: ") + std::strerror(errno));
+    }
+    // Partial send: drop the fully sent parts, advance into the next one.
+    size_t left = static_cast<size_t>(sent);
+    while (msg.msg_iovlen > 0 && left >= msg.msg_iov->iov_len) {
+      left -= msg.msg_iov->iov_len;
+      ++msg.msg_iov;
+      --msg.msg_iovlen;
+    }
+    if (msg.msg_iovlen > 0) {
+      msg.msg_iov->iov_base = static_cast<char*>(msg.msg_iov->iov_base) + left;
+      msg.msg_iov->iov_len -= left;
+    }
+  }
+  return Status::OK();
 }
 
 Result<bool> ReadFrame(int fd, std::string* payload) {

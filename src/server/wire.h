@@ -16,6 +16,9 @@
 // Wire protocol (DESIGN.md §13): every message is a frame — a 4-byte
 // big-endian payload length followed by that many bytes of UTF-8 JSON.
 // Frames larger than kMaxFrameBytes are a protocol error on both ends.
+// A peer must send each frame in one write or set TCP_NODELAY: a prefix
+// written on its own lets Nagle's algorithm hold the payload until the
+// other side's delayed ACK, about 40 ms per direction.
 //
 // Request payloads:
 //   {"tenant": "alpha", "sql": "SELECT ..."}        execute a statement
@@ -27,6 +30,7 @@
 // Response payloads:
 //   {"columns": [...], "rows": [[cell, ...], ...], "stats": {...}}
 //   {"error": {"code": "BudgetExceeded", "message": "..."}, "stats": {...}}
+//     (a ResourceExhausted rejection's stats carry retry_after_ms)
 //   {"payload": <raw json>}                         control-command result
 //
 // Row cells are JSON strings holding Value::ToString() (null cells are
@@ -48,7 +52,9 @@ StatusCode StatusCodeFromName(const std::string& name);
 // ---------------------------------------------------------------------------
 // Frame I/O (blocking, EINTR-safe).
 
-/// Writes one length-prefixed frame to a connected socket.
+/// Writes one length-prefixed frame to a connected socket with a single
+/// sendmsg (looping on partial sends). A peer that hung up is an IOError,
+/// never SIGPIPE.
 Status WriteFrame(int fd, const std::string& payload);
 
 /// Reads one frame. Returns false on clean EOF at a frame boundary
@@ -84,6 +90,11 @@ struct QueryStats {
   // empty under its predicate and never fetched vs pages it did read.
   uint64_t pages_pruned = 0;
   uint64_t pages_scanned = 0;
+  // Set only on an admission rejection (ResourceExhausted): the tenant's
+  // recent per-query host time, the server's hint for how long a client
+  // should wait before retrying (see RetryBackoff in server/client.h).
+  // Travels only when above 0.
+  double retry_after_ms = 0.0;
 };
 
 /// One decoded row: each cell is Value::ToString(), nullopt for NULL.

@@ -1,17 +1,23 @@
 // Tier-1 coverage for the multi-tenant SQL server (DESIGN.md §13): wire
-// codec round-trips, tenant config parsing, admission fast-fail, typed
-// budget aborts that leave the connection usable, cross-tenant isolation
-// under saturation, malformed-frame handling, and runtime reload.
+// codec and frame round-trips, tenant config parsing, admission fast-fail
+// and the client's retry backoff, typed budget aborts that leave the
+// connection usable, cross-tenant isolation under saturation, round-trip
+// latency, clients that hang up, connection cleanup, malformed-frame
+// handling, and runtime reload.
 
 #include "server/server.h"
 
 #include <arpa/inet.h>
 #include <gtest/gtest.h>
 #include <netinet/in.h>
+#include <pthread.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <csignal>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -152,6 +158,77 @@ TEST(WireTest, ErrorResponseKeepsTypedCode) {
             std::string::npos);
 }
 
+TEST(WireTest, RetryAfterTravelsOnlyWhenSet) {
+  const Status full = Status::ResourceExhausted("tenant is at capacity");
+  const std::string unset = FormatErrorResponse(full, QueryStats{});
+  EXPECT_EQ(unset.find("retry_after_ms"), std::string::npos) << unset;
+  QueryStats stats;
+  stats.retry_after_ms = 12.5;
+  auto response = ParseResponse(FormatErrorResponse(full, stats));
+  ASSERT_TRUE(response.ok()) << response.status().ToString();
+  EXPECT_TRUE(response->error.IsResourceExhausted());
+  EXPECT_DOUBLE_EQ(response->stats.retry_after_ms, 12.5);
+}
+
+TEST(WireTest, FrameRoundTripSizes) {
+  // With a few KiB of send buffer the writer blocks over and over while
+  // the reader drains. A signal that lands on the blocked writer (handler
+  // installed without SA_RESTART) makes sendmsg return a short count, or
+  // EINTR before the first byte: both paths of WriteFrame's send loop.
+  struct sigaction interrupt = {};
+  interrupt.sa_handler = [](int) {};
+  struct sigaction previous = {};
+  ASSERT_EQ(::sigaction(SIGUSR1, &interrupt, &previous), 0);
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  const int small_buffer = 4096;
+  ASSERT_EQ(::setsockopt(fds[0], SOL_SOCKET, SO_SNDBUF, &small_buffer,
+                         sizeof(small_buffer)),
+            0);
+  const std::vector<size_t> sizes = {0, 1, 64 * 1024 + 1, 8 * 1024 * 1024};
+  std::vector<std::string> payloads;
+  for (const size_t size : sizes) {
+    std::string payload(size, '\0');
+    for (size_t i = 0; i < size; ++i) {
+      payload[i] = static_cast<char>('a' + (i * 7 + size) % 26);
+    }
+    payloads.push_back(std::move(payload));
+  }
+  std::vector<std::string> received;
+  std::thread reader([&] {
+    std::string payload;
+    while (true) {
+      auto alive = ReadFrame(fds[1], &payload);
+      if (!alive.ok() || !*alive) break;
+      received.push_back(payload);
+    }
+    // Hang up, so a writer that garbled the stream fails instead of
+    // blocking on a full buffer.
+    ::close(fds[1]);
+  });
+  const pthread_t writer = ::pthread_self();
+  std::atomic<bool> writing{true};
+  std::thread interrupter([&] {
+    while (writing.load()) {
+      ::pthread_kill(writer, SIGUSR1);
+      std::this_thread::sleep_for(std::chrono::microseconds(50));
+    }
+  });
+  for (const std::string& payload : payloads) {
+    EXPECT_TRUE(WriteFrame(fds[0], payload).ok()) << payload.size();
+  }
+  writing.store(false);
+  interrupter.join();
+  ::close(fds[0]);
+  reader.join();
+  ASSERT_EQ(::sigaction(SIGUSR1, &previous, nullptr), 0);
+  ASSERT_EQ(received.size(), payloads.size());
+  for (size_t i = 0; i < payloads.size(); ++i) {
+    EXPECT_TRUE(received[i] == payloads[i]) << "frame of " << sizes[i]
+                                            << " bytes came back altered";
+  }
+}
+
 TEST(WireTest, StatusCodeNamesRoundTrip) {
   for (const StatusCode code :
        {StatusCode::kOk, StatusCode::kInvalidArgument, StatusCode::kNotFound,
@@ -159,6 +236,68 @@ TEST(WireTest, StatusCodeNamesRoundTrip) {
     EXPECT_EQ(StatusCodeFromName(StatusCodeName(code)), code);
   }
   EXPECT_EQ(StatusCodeFromName("NoSuchCode"), StatusCode::kInternal);
+}
+
+// ---------------------------------------------------------------------------
+// Client retry backoff.
+
+WireResponse Rejection(double retry_after_ms) {
+  WireResponse answer;
+  answer.error = Status::ResourceExhausted("tenant is at capacity");
+  answer.stats.retry_after_ms = retry_after_ms;
+  return answer;
+}
+
+TEST(RetryBackoffTest, DoublesPerRejectionUpToOneSecond) {
+  RetryBackoff backoff;
+  double expected_ms = 5.0;
+  for (int k = 1; k <= 12; ++k) {
+    backoff = NextRetryBackoff(backoff, Rejection(5.0), 0.5);  // 1.0x jitter
+    expected_ms = std::min(1000.0, 2 * expected_ms);
+    EXPECT_EQ(backoff.rejections, k);
+    EXPECT_DOUBLE_EQ(backoff.wait_ms, expected_ms) << "after rejection " << k;
+  }
+  EXPECT_DOUBLE_EQ(backoff.wait_ms, 1000.0);
+  for (int k = 0; k < 100; ++k) {
+    backoff = NextRetryBackoff(backoff, Rejection(5.0), 0.5);
+  }
+  EXPECT_DOUBLE_EQ(backoff.wait_ms, 1000.0);
+}
+
+TEST(RetryBackoffTest, HintBelowOneMillisecondCountsAsOne) {
+  EXPECT_DOUBLE_EQ(NextRetryBackoff({}, Rejection(0.0), 0.5).wait_ms, 2.0);
+  EXPECT_DOUBLE_EQ(NextRetryBackoff({}, Rejection(0.25), 0.5).wait_ms, 2.0);
+}
+
+TEST(RetryBackoffTest, JitterStaysWithinHalfToOneAndAHalf) {
+  for (const double jitter : {0.0, 0.25, 0.75, 0.999999, -3.0, 7.0}) {
+    const double wait_ms =
+        NextRetryBackoff({}, Rejection(10.0), jitter).wait_ms;
+    EXPECT_GE(wait_ms, 0.5 * 20.0) << jitter;
+    EXPECT_LE(wait_ms, 1.5 * 20.0) << jitter;
+  }
+  EXPECT_DOUBLE_EQ(NextRetryBackoff({}, Rejection(10.0), 0.0).wait_ms, 10.0);
+}
+
+TEST(RetryBackoffTest, AnyOtherAnswerResets) {
+  RetryBackoff backoff;
+  for (int k = 0; k < 3; ++k) {
+    backoff = NextRetryBackoff(backoff, Rejection(4.0), 0.5);
+  }
+  ASSERT_EQ(backoff.rejections, 3);
+  WireResponse rows;  // a successful answer
+  WireResponse aborted;
+  aborted.error = Status::BudgetExceeded("query exceeded its cpu budget");
+  for (const WireResponse& answer : {rows, aborted}) {
+    const RetryBackoff reset = NextRetryBackoff(backoff, answer, 0.5);
+    EXPECT_EQ(reset.rejections, 0);
+    EXPECT_EQ(reset.wait_ms, 0.0);
+  }
+  // The next rejection starts over at hint * 2.
+  const RetryBackoff after_reset =
+      NextRetryBackoff(NextRetryBackoff(backoff, rows, 0.5), Rejection(4.0),
+                       0.5);
+  EXPECT_DOUBLE_EQ(after_reset.wait_ms, 8.0);
 }
 
 // ---------------------------------------------------------------------------
@@ -213,6 +352,35 @@ class ServerTest : public ::testing::Test {
     auto client = WireClient::Connect("127.0.0.1", server_->port());
     EXPECT_TRUE(client.ok()) << client.status().ToString();
     return std::move(client).ValueOrDie();
+  }
+
+  /// A plain TCP socket to the server, for writing frames by hand.
+  static int ConnectRaw() {
+    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    EXPECT_GE(fd, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_port = htons(static_cast<uint16_t>(server_->port()));
+    EXPECT_EQ(::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr), 1);
+    EXPECT_EQ(
+        ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+    return fd;
+  }
+
+  /// Connects and pings until the server holds that connection and no
+  /// other: every earlier connection has then finished, and the accept of
+  /// the new one joined their threads.
+  static bool AwaitSoleConnection() {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while (true) {
+      WireClient client = Connect();
+      auto ping = client.Command("alpha", "ping");
+      if (!ping.ok()) return false;
+      if (server_->num_connections() == 1) return true;
+      if (std::chrono::steady_clock::now() > deadline) return false;
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
   }
 
   // A query that holds the serial tenant's executor for a while (cross
@@ -277,6 +445,9 @@ TEST_F(ServerTest, AdmissionFastFailAtCap) {
   // can lose the race with the heavy query's submission; one cycle where
   // the probe lands mid-execution is enough.
   WireClient probe = Connect();
+  // One executed query gives the tenant a retry-after hint.
+  auto first = probe.Query("serial", "select id from events limit 1;");
+  ASSERT_TRUE(first.ok() && first->error.ok());
   bool saw_rejection = false;
   for (int attempt = 0; attempt < 10 && !saw_rejection; ++attempt) {
     std::atomic<bool> heavy_done{false};
@@ -296,6 +467,7 @@ TEST_F(ServerTest, AdmissionFastFailAtCap) {
           probe.Query("serial", "select id from events limit 1;");
       ASSERT_TRUE(response.ok()) << response.status().ToString();
       if (response->error.IsResourceExhausted()) {
+        EXPECT_GT(response->stats.retry_after_ms, 0.0);
         saw_rejection = true;
         break;
       }
@@ -353,14 +525,7 @@ TEST_F(ServerTest, SaturatedTenantDoesNotBlockOthers) {
 }
 
 TEST_F(ServerTest, MalformedJsonGetsTypedErrorAndConnectionSurvives) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  ASSERT_GE(fd, 0);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<uint16_t>(server_->port()));
-  ASSERT_EQ(::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr), 1);
-  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
-            0);
+  const int fd = ConnectRaw();
   // A well-framed but non-JSON payload: the server answers with a typed
   // error and keeps the connection open.
   ASSERT_TRUE(WriteFrame(fd, "this is not json").ok());
@@ -381,14 +546,7 @@ TEST_F(ServerTest, MalformedJsonGetsTypedErrorAndConnectionSurvives) {
 }
 
 TEST_F(ServerTest, OversizedFramePrefixClosesConnection) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  ASSERT_GE(fd, 0);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<uint16_t>(server_->port()));
-  ASSERT_EQ(::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr), 1);
-  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
-            0);
+  const int fd = ConnectRaw();
   const unsigned char huge[4] = {0xff, 0xff, 0xff, 0xff};  // 4 GiB frame
   ASSERT_EQ(::send(fd, huge, 4, 0), 4);
   // The server reports the protocol error (if the write beats the close)
@@ -404,6 +562,70 @@ TEST_F(ServerTest, OversizedFramePrefixClosesConnection) {
   auto ping = client.Command("alpha", "ping");
   ASSERT_TRUE(ping.ok()) << ping.status().ToString();
   EXPECT_EQ(ping->payload, "\"pong\"");
+}
+
+TEST_F(ServerTest, TwoHundredPingsUnderOneSecond) {
+  // A frame whose prefix and payload leave in separate writes waits for
+  // Nagle plus delayed ACK: about 88 ms per round trip, 17.6 s for 200.
+  WireClient client = Connect();
+  const auto start = std::chrono::steady_clock::now();
+  for (int i = 0; i < 200; ++i) {
+    auto ping = client.Command("alpha", "ping");
+    ASSERT_TRUE(ping.ok()) << ping.status().ToString();
+    ASSERT_EQ(ping->payload, "\"pong\"");
+  }
+  const std::chrono::duration<double> elapsed =
+      std::chrono::steady_clock::now() - start;
+  EXPECT_LT(elapsed.count(), 1.0);
+}
+
+TEST_F(ServerTest, ClientVanishingMidQueryLeavesServerUp) {
+  // The server writes into sockets whose peer has gone. Those writes must
+  // fail for their own connection only; a SIGPIPE would end the process.
+  WireRequest request;
+  request.tenant = "serial";
+  // After one ping the server has accepted the socket and waits in
+  // ReadFrame on it.
+  const auto connect_and_ping = [&request] {
+    const int fd = ConnectRaw();
+    request.command = "ping";
+    EXPECT_TRUE(WriteFrame(fd, FormatRequest(request)).ok());
+    std::string payload;
+    auto alive = ReadFrame(fd, &payload);
+    EXPECT_TRUE(alive.ok() && *alive);
+    request.command.clear();
+    return fd;
+  };
+  // Hung up mid-query: the answer goes to a peer that has closed.
+  const int fd = connect_and_ping();
+  request.sql = kHeavySql;
+  ASSERT_TRUE(WriteFrame(fd, FormatRequest(request)).ok());
+  ::close(fd);
+  // Reset while idle: the server's read fails, and the typed error it
+  // then writes back meets a dead socket (EPIPE).
+  const int reset_fd = connect_and_ping();
+  const linger abort_on_close{1, 0};
+  ASSERT_EQ(::setsockopt(reset_fd, SOL_SOCKET, SO_LINGER, &abort_on_close,
+                         sizeof(abort_on_close)),
+            0);
+  ::close(reset_fd);
+  // A connection finishes only after its last write was made (or failed).
+  ASSERT_TRUE(AwaitSoleConnection());
+  WireClient client = Connect();
+  auto ping = client.Command("alpha", "ping");
+  ASSERT_TRUE(ping.ok()) << ping.status().ToString();
+  EXPECT_EQ(ping->payload, "\"pong\"");
+}
+
+TEST_F(ServerTest, FinishedConnectionsAreCleanedUp) {
+  for (int i = 0; i < 200; ++i) {
+    WireClient client = Connect();
+    auto ping = client.Command("alpha", "ping");
+    ASSERT_TRUE(ping.ok()) << ping.status().ToString();
+  }
+  // Unjoined threads would keep all 200 counted, each with its stack.
+  EXPECT_TRUE(AwaitSoleConnection())
+      << server_->num_connections() << " connections still held";
 }
 
 TEST_F(ServerTest, ReloadTightensBudgetAndShares) {
