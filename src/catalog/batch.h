@@ -86,6 +86,13 @@ class ValueVector {
   /// Hash of row `i`, identical to Value::Hash of GetValue(i).
   size_t HashAt(size_t i) const;
 
+  /// NumericKey of non-null row `i`, identical to Value::NumericKey of
+  /// GetValue(i).
+  double NumericKeyAt(size_t i) const {
+    return type_ == TypeId::kString ? StringNumericKey(strings_[i])
+                                    : AsDouble(i);
+  }
+
  private:
   TypeId type_ = TypeId::kInt64;
   size_t size_ = 0;

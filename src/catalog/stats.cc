@@ -5,22 +5,43 @@
 
 namespace vdb::catalog {
 
+namespace {
+
+// Moves the order statistics at the ascending positions [first, last)
+// into place within values[begin, end): select the middle position, then
+// recurse on each side of it. O(n log k) for k positions, against
+// O(n log n) for a full sort, and each selected slot holds exactly the
+// value a sort would put there.
+void SelectPositions(std::vector<double>& values, size_t begin, size_t end,
+                     const size_t* first, const size_t* last) {
+  if (first == last) return;
+  const size_t* mid = first + (last - first) / 2;
+  std::nth_element(values.begin() + begin, values.begin() + *mid,
+                   values.begin() + end);
+  SelectPositions(values, begin, *mid, first, mid);
+  SelectPositions(values, *mid + 1, end, mid + 1, last);
+}
+
+}  // namespace
+
 Histogram Histogram::Build(std::vector<double> values, int num_buckets) {
   Histogram hist;
   if (values.empty() || num_buckets < 1) return hist;
-  std::sort(values.begin(), values.end());
   const size_t n = values.size();
   // Store an evenly spaced sample of the sorted values (a sampled CDF).
   // Unlike deduplicated bucket bounds, repeated samples of a hot value
-  // represent its mass correctly.
+  // represent its mass correctly. The positions strictly increase because
+  // samples <= n.
   const size_t samples =
       std::min<size_t>(static_cast<size_t>(num_buckets) + 1, n);
-  hist.bounds_.reserve(samples + 1);
+  std::vector<size_t> positions(samples);
   for (size_t s = 0; s < samples; ++s) {
-    hist.bounds_.push_back(values[s * (n - 1) / (samples - 1 > 0
-                                                     ? samples - 1
-                                                     : 1)]);
+    positions[s] = s * (n - 1) / (samples > 1 ? samples - 1 : 1);
   }
+  SelectPositions(values, 0, n, positions.data(),
+                  positions.data() + samples);
+  hist.bounds_.reserve(samples + 1);
+  for (size_t pos : positions) hist.bounds_.push_back(values[pos]);
   if (hist.bounds_.size() < 2) hist.bounds_.push_back(hist.bounds_.back());
   return hist;
 }

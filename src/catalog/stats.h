@@ -17,7 +17,7 @@ class Histogram {
   Histogram() = default;
 
   /// Builds an equi-depth histogram from (a sample of) column values.
-  /// `values` is consumed (sorted in place).
+  /// `values` is consumed (partially reordered in place).
   static Histogram Build(std::vector<double> values, int num_buckets = 32);
 
   bool empty() const { return bounds_.size() < 2; }

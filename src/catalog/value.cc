@@ -138,18 +138,19 @@ int Value::Compare(const Value& a, const Value& b) {
   return 0;
 }
 
+double StringNumericKey(std::string_view s) {
+  double key = 0.0;
+  double scale = 1.0;
+  for (size_t i = 0; i < 8 && i < s.size(); ++i) {
+    scale /= 256.0;
+    key += static_cast<double>(static_cast<unsigned char>(s[i])) * scale;
+  }
+  return key;
+}
+
 double Value::NumericKey() const {
   if (is_null_) return 0.0;
-  if (type_ == TypeId::kString) {
-    const std::string& s = AsString();
-    double key = 0.0;
-    double scale = 1.0;
-    for (size_t i = 0; i < 8 && i < s.size(); ++i) {
-      scale /= 256.0;
-      key += static_cast<double>(static_cast<unsigned char>(s[i])) * scale;
-    }
-    return key;
-  }
+  if (type_ == TypeId::kString) return StringNumericKey(AsString());
   return AsDouble();
 }
 

@@ -6,6 +6,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <variant>
 
 #include "util/result.h"
@@ -35,6 +36,10 @@ std::string DateToString(int64_t days);
 
 /// Parses "YYYY-MM-DD". Fails with InvalidArgument on malformed input.
 Result<int64_t> ParseDate(const std::string& text);
+
+/// A string's position on the NumericKey axis: its first 8 bytes read as
+/// a big-endian fraction in [0, 1), which preserves lexicographic order.
+double StringNumericKey(std::string_view s);
 
 /// A single SQL value: a typed scalar or NULL.
 class Value {

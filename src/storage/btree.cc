@@ -1,6 +1,6 @@
 #include "storage/btree.h"
 
-#include <algorithm>
+#include <cstring>
 
 #include "util/logging.h"
 
@@ -28,55 +28,95 @@ constexpr uint64_t kChildrenOff = kKeysOff + 8 * kInternalCapacity;
 static_assert(kLeafValuesOff + 8 * kLeafCapacity <= kPageSize);
 static_assert(kChildrenOff + 8 * (kInternalCapacity + 1) <= kPageSize);
 
-// In-memory image of a node; nodes are read into this, modified, and
-// written back. Simpler and safer than in-place byte surgery, and the
-// simulator charges I/O per page, not per byte.
-struct NodeView {
-  bool is_leaf = true;
-  std::vector<int64_t> keys;
-  std::vector<uint64_t> values;    // leaf: values; internal: children
-  PageId next_leaf = kInvalidPageId;
+// Nodes are read and edited in place on their pinned frame. An edit
+// writes only the slots it changes: bytes past num_keys keep whatever a
+// longer node left there, which is part of the on-page image.
 
-  void Load(const Page& page) {
-    is_leaf = page.ReadAt<uint16_t>(kIsLeafOff) != 0;
-    const uint16_t n = page.ReadAt<uint16_t>(kNumKeysOff);
-    keys.resize(n);
-    for (uint16_t i = 0; i < n; ++i) {
-      keys[i] = page.ReadAt<int64_t>(kKeysOff + 8ULL * i);
-    }
-    if (is_leaf) {
-      next_leaf = page.ReadAt<uint64_t>(kNextLeafOff);
-      values.resize(n);
-      for (uint16_t i = 0; i < n; ++i) {
-        values[i] = page.ReadAt<uint64_t>(kLeafValuesOff + 8ULL * i);
-      }
+bool IsLeaf(const Page& page) { return page.ReadAt<uint16_t>(kIsLeafOff) != 0; }
+
+size_t NumKeys(const Page& page) {
+  return page.ReadAt<uint16_t>(kNumKeysOff);
+}
+
+void SetNumKeys(Page* page, size_t n) {
+  page->WriteAt<uint16_t>(kNumKeysOff, static_cast<uint16_t>(n));
+}
+
+int64_t KeyAt(const Page& page, size_t i) {
+  return page.ReadAt<int64_t>(kKeysOff + 8 * i);
+}
+
+uint64_t LeafValueAt(const Page& page, size_t i) {
+  return page.ReadAt<uint64_t>(kLeafValuesOff + 8 * i);
+}
+
+PageId ChildAt(const Page& page, size_t i) {
+  return page.ReadAt<uint64_t>(kChildrenOff + 8 * i);
+}
+
+PageId NextLeaf(const Page& page) {
+  return page.ReadAt<uint64_t>(kNextLeafOff);
+}
+
+// Binary search over a node's sorted key array: the first slot in [0, n)
+// whose key fails `before` (std::partition_point over the page in place).
+template <typename Pred>
+size_t PartitionPoint(const Page& page, size_t n, Pred before) {
+  size_t lo = 0;
+  while (n > 0) {
+    const size_t half = n / 2;
+    if (before(KeyAt(page, lo + half))) {
+      lo += half + 1;
+      n -= half + 1;
     } else {
-      values.resize(n + 1);
-      for (uint16_t i = 0; i <= n; ++i) {
-        values[i] = page.ReadAt<uint64_t>(kChildrenOff + 8ULL * i);
-      }
+      n = half;
     }
   }
+  return lo;
+}
 
-  void Store(Page* page) const {
-    page->WriteAt<uint16_t>(kIsLeafOff, is_leaf ? 1 : 0);
-    page->WriteAt<uint16_t>(kNumKeysOff,
-                            static_cast<uint16_t>(keys.size()));
-    for (size_t i = 0; i < keys.size(); ++i) {
-      page->WriteAt<int64_t>(kKeysOff + 8ULL * i, keys[i]);
-    }
-    if (is_leaf) {
-      page->WriteAt<uint64_t>(kNextLeafOff, next_leaf);
-      for (size_t i = 0; i < values.size(); ++i) {
-        page->WriteAt<uint64_t>(kLeafValuesOff + 8ULL * i, values[i]);
-      }
-    } else {
-      for (size_t i = 0; i < values.size(); ++i) {
-        page->WriteAt<uint64_t>(kChildrenOff + 8ULL * i, values[i]);
-      }
-    }
-  }
-};
+// Insertion descend: equal keys go right of a separator.
+size_t UpperBound(const Page& page, size_t n, int64_t key) {
+  return PartitionPoint(page, n, [key](int64_t k) { return k <= key; });
+}
+
+// Search descend: finds the leftmost occurrence of a duplicated key.
+size_t LowerBound(const Page& page, size_t n, int64_t key) {
+  return PartitionPoint(page, n, [key](int64_t k) { return k < key; });
+}
+
+// Opens slot `pos` of the `n`-entry 8-byte array at `off` and stores `v`.
+void InsertSlot(Page* page, uint64_t off, size_t n, size_t pos, uint64_t v) {
+  char* base = page->data() + off;
+  std::memmove(base + 8 * (pos + 1), base + 8 * pos, 8 * (n - pos));
+  std::memcpy(base + 8 * pos, &v, 8);
+}
+
+// Closes slot `pos` of the `n`-entry 8-byte array at `off`; slot n - 1
+// keeps its old bytes.
+void EraseSlot(Page* page, uint64_t off, size_t n, size_t pos) {
+  char* base = page->data() + off;
+  std::memmove(base + 8 * pos, base + 8 * (pos + 1), 8 * (n - pos - 1));
+}
+
+// `count` 8-byte entries between a node's array at `off` and memory.
+void ReadSlots(const Page& page, uint64_t off, size_t count, void* out) {
+  std::memcpy(out, page.data() + off, 8 * count);
+}
+
+void WriteSlots(Page* page, uint64_t off, size_t count, const void* in) {
+  std::memcpy(page->data() + off, in, 8 * count);
+}
+
+// Reads the `n`-entry array at `off` into `out` with `v` inserted at
+// `pos`: the capacity + 1 image of a node that is about to split.
+template <typename T>
+void ReadWithInsert(const Page& page, uint64_t off, size_t n, size_t pos,
+                    T v, T* out) {
+  ReadSlots(page, off, pos, out);
+  out[pos] = v;
+  ReadSlots(page, off + 8 * pos, n - pos, out + pos + 1);
+}
 
 }  // namespace
 
@@ -89,9 +129,9 @@ PageId BPlusTree::NewLeaf() {
   const PageId id = disk_->AllocatePage();
   auto page = pool_->FetchPage(id, AccessPattern::kRandom);
   VDB_CHECK(page.ok()) << page.status();
-  NodeView node;
-  node.is_leaf = true;
-  node.Store(*page);
+  (*page)->WriteAt<uint16_t>(kIsLeafOff, 1);
+  SetNumKeys(*page, 0);
+  (*page)->WriteAt<uint64_t>(kNextLeafOff, kInvalidPageId);
   VDB_CHECK_OK(pool_->UnpinPage(id, /*dirty=*/true));
   ++num_pages_;
   return id;
@@ -101,10 +141,9 @@ PageId BPlusTree::NewInternal() {
   const PageId id = disk_->AllocatePage();
   auto page = pool_->FetchPage(id, AccessPattern::kRandom);
   VDB_CHECK(page.ok()) << page.status();
-  NodeView node;
-  node.is_leaf = false;
-  node.values.push_back(kInvalidPageId);
-  node.Store(*page);
+  (*page)->WriteAt<uint16_t>(kIsLeafOff, 0);
+  SetNumKeys(*page, 0);
+  (*page)->WriteAt<uint64_t>(kChildrenOff, kInvalidPageId);
   VDB_CHECK_OK(pool_->UnpinPage(id, /*dirty=*/true));
   ++num_pages_;
   return id;
@@ -115,16 +154,14 @@ Result<PageId> BPlusTree::FindLeaf(int64_t key, std::vector<PageId>* path) {
   for (;;) {
     VDB_ASSIGN_OR_RETURN(Page * page,
                          pool_->FetchPage(current, AccessPattern::kRandom));
-    NodeView node;
-    node.Load(*page);
+    const bool leaf = IsLeaf(*page);
+    const PageId child =
+        leaf ? kInvalidPageId
+             : ChildAt(*page, UpperBound(*page, NumKeys(*page), key));
     VDB_RETURN_NOT_OK(pool_->UnpinPage(current, /*dirty=*/false));
-    if (node.is_leaf) return current;
+    if (leaf) return current;
     if (path != nullptr) path->push_back(current);
-    // Insertion descend: equal keys go right of the separator.
-    const size_t idx =
-        std::upper_bound(node.keys.begin(), node.keys.end(), key) -
-        node.keys.begin();
-    current = node.values[idx];
+    current = child;
   }
 }
 
@@ -140,38 +177,39 @@ Status BPlusTree::InsertIntoLeaf(PageId leaf_id, int64_t key, uint64_t value,
                                  std::vector<PageId>& path) {
   VDB_ASSIGN_OR_RETURN(Page * page,
                        pool_->FetchPage(leaf_id, AccessPattern::kRandom));
-  NodeView node;
-  node.Load(*page);
-  const size_t pos =
-      std::upper_bound(node.keys.begin(), node.keys.end(), key) -
-      node.keys.begin();
-  node.keys.insert(node.keys.begin() + pos, key);
-  node.values.insert(node.values.begin() + pos, value);
-  if (node.keys.size() <= kLeafCapacity) {
-    node.Store(page);
+  const size_t n = NumKeys(*page);
+  const size_t pos = UpperBound(*page, n, key);
+  if (n < kLeafCapacity) {
+    InsertSlot(page, kKeysOff, n, pos, static_cast<uint64_t>(key));
+    InsertSlot(page, kLeafValuesOff, n, pos, value);
+    SetNumKeys(page, n + 1);
     return pool_->UnpinPage(leaf_id, /*dirty=*/true);
   }
-  // Split: right half moves to a new leaf.
-  const size_t mid = node.keys.size() / 2;
-  NodeView right;
-  right.is_leaf = true;
-  right.keys.assign(node.keys.begin() + mid, node.keys.end());
-  right.values.assign(node.values.begin() + mid, node.values.end());
-  right.next_leaf = node.next_leaf;
-  node.keys.resize(mid);
-  node.values.resize(mid);
+  // Split: the right half of the capacity + 1 entries moves to a new leaf.
+  int64_t keys[kLeafCapacity + 1] = {};
+  uint64_t values[kLeafCapacity + 1] = {};
+  ReadWithInsert(*page, kKeysOff, n, pos, key, keys);
+  ReadWithInsert(*page, kLeafValuesOff, n, pos, value, values);
+  const size_t total = n + 1;
+  const size_t mid = total / 2;
+  const PageId old_next = NextLeaf(*page);
 
   const PageId right_id = NewLeaf();
-  node.next_leaf = right_id;
-  node.Store(page);
+  SetNumKeys(page, mid);
+  WriteSlots(page, kKeysOff, mid, keys);
+  page->WriteAt<uint64_t>(kNextLeafOff, right_id);
+  WriteSlots(page, kLeafValuesOff, mid, values);
   VDB_RETURN_NOT_OK(pool_->UnpinPage(leaf_id, /*dirty=*/true));
 
   VDB_ASSIGN_OR_RETURN(Page * right_page,
                        pool_->FetchPage(right_id, AccessPattern::kRandom));
-  right.Store(right_page);
+  SetNumKeys(right_page, total - mid);
+  WriteSlots(right_page, kKeysOff, total - mid, keys + mid);
+  right_page->WriteAt<uint64_t>(kNextLeafOff, old_next);
+  WriteSlots(right_page, kLeafValuesOff, total - mid, values + mid);
   VDB_RETURN_NOT_OK(pool_->UnpinPage(right_id, /*dirty=*/true));
 
-  return InsertIntoParent(path, right.keys.front(), right_id);
+  return InsertIntoParent(path, keys[mid], right_id);
 }
 
 Status BPlusTree::InsertIntoParent(std::vector<PageId>& path, int64_t key,
@@ -181,11 +219,10 @@ Status BPlusTree::InsertIntoParent(std::vector<PageId>& path, int64_t key,
     const PageId new_root = NewInternal();
     VDB_ASSIGN_OR_RETURN(Page * page,
                          pool_->FetchPage(new_root, AccessPattern::kRandom));
-    NodeView node;
-    node.is_leaf = false;
-    node.keys = {key};
-    node.values = {root_, right_child};
-    node.Store(page);
+    SetNumKeys(page, 1);
+    page->WriteAt<int64_t>(kKeysOff, key);
+    page->WriteAt<uint64_t>(kChildrenOff, root_);
+    page->WriteAt<uint64_t>(kChildrenOff + 8, right_child);
     VDB_RETURN_NOT_OK(pool_->UnpinPage(new_root, /*dirty=*/true));
     root_ = new_root;
     ++height_;
@@ -195,36 +232,36 @@ Status BPlusTree::InsertIntoParent(std::vector<PageId>& path, int64_t key,
   path.pop_back();
   VDB_ASSIGN_OR_RETURN(Page * page,
                        pool_->FetchPage(parent_id, AccessPattern::kRandom));
-  NodeView node;
-  node.Load(*page);
-  const size_t pos =
-      std::upper_bound(node.keys.begin(), node.keys.end(), key) -
-      node.keys.begin();
-  node.keys.insert(node.keys.begin() + pos, key);
-  node.values.insert(node.values.begin() + pos + 1, right_child);
-  if (node.keys.size() <= kInternalCapacity) {
-    node.Store(page);
+  const size_t n = NumKeys(*page);
+  const size_t pos = UpperBound(*page, n, key);
+  if (n < kInternalCapacity) {
+    InsertSlot(page, kKeysOff, n, pos, static_cast<uint64_t>(key));
+    InsertSlot(page, kChildrenOff, n + 1, pos + 1, right_child);
+    SetNumKeys(page, n + 1);
     return pool_->UnpinPage(parent_id, /*dirty=*/true);
   }
-  // Split internal node: middle key moves up.
-  const size_t mid = node.keys.size() / 2;
-  const int64_t up_key = node.keys[mid];
-  NodeView right;
-  right.is_leaf = false;
-  right.keys.assign(node.keys.begin() + mid + 1, node.keys.end());
-  right.values.assign(node.values.begin() + mid + 1, node.values.end());
-  node.keys.resize(mid);
-  node.values.resize(mid + 1);
-  node.Store(page);
+  // Split internal node: the middle key moves up.
+  int64_t keys[kInternalCapacity + 1] = {};
+  PageId children[kInternalCapacity + 2] = {};
+  ReadWithInsert(*page, kKeysOff, n, pos, key, keys);
+  ReadWithInsert(*page, kChildrenOff, n + 1, pos + 1, right_child, children);
+  const size_t total = n + 1;
+  const size_t mid = total / 2;
+  SetNumKeys(page, mid);
+  WriteSlots(page, kKeysOff, mid, keys);
+  WriteSlots(page, kChildrenOff, mid + 1, children);
   VDB_RETURN_NOT_OK(pool_->UnpinPage(parent_id, /*dirty=*/true));
 
   const PageId right_id = NewInternal();
   VDB_ASSIGN_OR_RETURN(Page * right_page,
                        pool_->FetchPage(right_id, AccessPattern::kRandom));
-  right.Store(right_page);
+  const size_t right_keys = total - mid - 1;
+  SetNumKeys(right_page, right_keys);
+  WriteSlots(right_page, kKeysOff, right_keys, keys + mid + 1);
+  WriteSlots(right_page, kChildrenOff, right_keys + 1, children + mid + 1);
   VDB_RETURN_NOT_OK(pool_->UnpinPage(right_id, /*dirty=*/true));
 
-  return InsertIntoParent(path, up_key, right_id);
+  return InsertIntoParent(path, keys[mid], right_id);
 }
 
 Status BPlusTree::Delete(int64_t key, uint64_t value) {
@@ -234,33 +271,31 @@ Status BPlusTree::Delete(int64_t key, uint64_t value) {
   for (;;) {
     VDB_ASSIGN_OR_RETURN(Page * page,
                          pool_->FetchPage(current, AccessPattern::kRandom));
-    NodeView node;
-    node.Load(*page);
+    const bool leaf = IsLeaf(*page);
+    const PageId child =
+        leaf ? kInvalidPageId
+             : ChildAt(*page, LowerBound(*page, NumKeys(*page), key));
     VDB_RETURN_NOT_OK(pool_->UnpinPage(current, /*dirty=*/false));
-    if (node.is_leaf) break;
-    const size_t idx =
-        std::lower_bound(node.keys.begin(), node.keys.end(), key) -
-        node.keys.begin();
-    current = node.values[idx];
+    if (leaf) break;
+    current = child;
   }
   while (current != kInvalidPageId) {
     VDB_ASSIGN_OR_RETURN(Page * page,
                          pool_->FetchPage(current, AccessPattern::kRandom));
-    NodeView node;
-    node.Load(*page);
+    const size_t n = NumKeys(*page);
     bool removed = false;
-    for (size_t i = 0; i < node.keys.size(); ++i) {
-      if (node.keys[i] == key && node.values[i] == value) {
-        node.keys.erase(node.keys.begin() + i);
-        node.values.erase(node.values.begin() + i);
-        node.Store(page);
+    for (size_t i = LowerBound(*page, n, key); i < n && KeyAt(*page, i) == key;
+         ++i) {
+      if (LeafValueAt(*page, i) == value) {
+        EraseSlot(page, kKeysOff, n, i);
+        EraseSlot(page, kLeafValuesOff, n, i);
+        SetNumKeys(page, n - 1);
         removed = true;
         break;
       }
     }
-    const PageId next = node.next_leaf;
-    const bool past =
-        !removed && !node.keys.empty() && node.keys.front() > key;
+    const PageId next = NextLeaf(*page);
+    const bool past = !removed && n > 0 && KeyAt(*page, 0) > key;
     VDB_RETURN_NOT_OK(pool_->UnpinPage(current, removed));
     if (removed) {
       --num_entries_;
@@ -287,19 +322,13 @@ BPlusTree::Iterator BPlusTree::SeekGE(int64_t key) {
   for (;;) {
     auto page_result = pool_->FetchPage(current, AccessPattern::kRandom);
     VDB_CHECK(page_result.ok()) << page_result.status();
-    NodeView node;
-    node.Load(**page_result);
+    const Page& page = **page_result;
+    const bool leaf = IsLeaf(page);
+    const size_t idx = LowerBound(page, NumKeys(page), key);
+    const PageId child = leaf ? kInvalidPageId : ChildAt(page, idx);
     VDB_CHECK_OK(pool_->UnpinPage(current, /*dirty=*/false));
-    if (node.is_leaf) {
-      const size_t idx =
-          std::lower_bound(node.keys.begin(), node.keys.end(), key) -
-          node.keys.begin();
-      return Iterator(this, current, idx);
-    }
-    const size_t idx =
-        std::lower_bound(node.keys.begin(), node.keys.end(), key) -
-        node.keys.begin();
-    current = node.values[idx];
+    if (leaf) return Iterator(this, current, idx);
+    current = child;
   }
 }
 
@@ -308,11 +337,11 @@ BPlusTree::Iterator BPlusTree::Begin() {
   for (;;) {
     auto page_result = pool_->FetchPage(current, AccessPattern::kRandom);
     VDB_CHECK(page_result.ok()) << page_result.status();
-    NodeView node;
-    node.Load(**page_result);
+    const bool leaf = IsLeaf(**page_result);
+    const PageId child = leaf ? kInvalidPageId : ChildAt(**page_result, 0);
     VDB_CHECK_OK(pool_->UnpinPage(current, /*dirty=*/false));
-    if (node.is_leaf) return Iterator(this, current, 0);
-    current = node.values.front();
+    if (leaf) return Iterator(this, current, 0);
+    current = child;
   }
 }
 
@@ -324,23 +353,27 @@ BPlusTree::Iterator::Iterator(BPlusTree* tree, PageId leaf,
 
 void BPlusTree::Iterator::LoadLeaf(PageId leaf, size_t start_index) {
   valid_ = false;
-  entries_.clear();
+  keys_.clear();
+  values_.clear();
   index_ = 0;
   while (leaf != kInvalidPageId) {
     auto page_result = tree_->pool_->FetchPage(leaf, AccessPattern::kRandom);
     VDB_CHECK(page_result.ok()) << page_result.status();
-    NodeView node;
-    node.Load(**page_result);
-    VDB_CHECK_OK(tree_->pool_->UnpinPage(leaf, /*dirty=*/false));
-    next_leaf_ = node.next_leaf;
-    if (start_index < node.keys.size()) {
-      for (size_t i = start_index; i < node.keys.size(); ++i) {
-        entries_.emplace_back(node.keys[i], node.values[i]);
-      }
+    const Page& page = **page_result;
+    const size_t n = NumKeys(page);
+    next_leaf_ = NextLeaf(page);
+    if (start_index < n) {
+      keys_.resize(n - start_index);
+      values_.resize(n - start_index);
+      ReadSlots(page, kKeysOff + 8 * start_index, n - start_index,
+                keys_.data());
+      ReadSlots(page, kLeafValuesOff + 8 * start_index, n - start_index,
+                values_.data());
       valid_ = true;
-      return;
     }
-    leaf = node.next_leaf;
+    VDB_CHECK_OK(tree_->pool_->UnpinPage(leaf, /*dirty=*/false));
+    if (valid_) return;
+    leaf = next_leaf_;
     start_index = 0;
   }
   next_leaf_ = kInvalidPageId;
@@ -349,7 +382,7 @@ void BPlusTree::Iterator::LoadLeaf(PageId leaf, size_t start_index) {
 void BPlusTree::Iterator::Next() {
   if (!valid_) return;
   ++index_;
-  if (index_ >= entries_.size()) {
+  if (index_ >= keys_.size()) {
     LoadLeaf(next_leaf_, 0);
   }
 }

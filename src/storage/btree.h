@@ -20,7 +20,9 @@ namespace vdb::storage {
 ///
 /// All page accesses go through the buffer pool as *random* reads, matching
 /// how optimizers cost index traversals. Deletion removes leaf entries
-/// without rebalancing (PostgreSQL-style lazy deletion).
+/// without rebalancing (PostgreSQL-style lazy deletion). Nodes are searched
+/// and edited in place on their pinned frames; only a splitting node is
+/// staged in a capacity + 1 scratch array.
 class BPlusTree {
  public:
   BPlusTree(DiskManager* disk, BufferPool* pool);
@@ -53,8 +55,8 @@ class BPlusTree {
    public:
     bool Valid() const { return valid_; }
     void Next();
-    int64_t key() const { return entries_[index_].first; }
-    uint64_t value() const { return entries_[index_].second; }
+    int64_t key() const { return keys_[index_]; }
+    uint64_t value() const { return values_[index_]; }
 
    private:
     friend class BPlusTree;
@@ -63,7 +65,10 @@ class BPlusTree {
 
     BPlusTree* tree_;
     PageId next_leaf_ = kInvalidPageId;
-    std::vector<std::pair<int64_t, uint64_t>> entries_;
+    // The current leaf's entries from the start position on, copied out
+    // because the leaf is unpinned between calls.
+    std::vector<int64_t> keys_;
+    std::vector<uint64_t> values_;
     size_t index_ = 0;
     bool valid_ = false;
   };

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <ostream>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -18,9 +19,18 @@ namespace vdb {
 namespace {
 
 struct Case {
+  const char* name;  // stable label: names the ctest case and GetParam()
   const char* sql;
   double max_q_error;  // max(est/actual, actual/est) allowed
 };
+
+// Without this, gtest prints a Case as its raw bytes, and the bytes of
+// `sql` are a string-literal address that moves with every run under
+// ASLR; gtest_discover_tests would then name each case differently on
+// every build.
+void PrintTo(const Case& test_case, std::ostream* os) {
+  *os << test_case.name;
+}
 
 class CardinalityTest : public ::testing::TestWithParam<Case> {
  protected:
@@ -66,40 +76,50 @@ INSTANTIATE_TEST_SUITE_P(
     TpchPredicates, CardinalityTest,
     ::testing::Values(
         // Date range on orders: histogram range estimation.
-        Case{"select o_orderkey from orders where o_orderdate >= date "
+        Case{"orders_date_quarter",
+             "select o_orderkey from orders where o_orderdate >= date "
              "'1993-07-01' and o_orderdate < date '1993-10-01'",
              1.6},
         // Narrower range.
-        Case{"select o_orderkey from orders where o_orderdate >= date "
+        Case{"orders_date_month",
+             "select o_orderkey from orders where o_orderdate >= date "
              "'1995-01-01' and o_orderdate < date '1995-02-01'",
              2.0},
         // Equality on a low-NDV string column: 1/ndv.
-        Case{"select o_orderkey from orders where o_orderpriority = "
+        Case{"orderpriority_eq",
+             "select o_orderkey from orders where o_orderpriority = "
              "'1-URGENT'",
              1.6},
         // Numeric comparison through the histogram.
-        Case{"select l_orderkey from lineitem where l_quantity < 24",
+        Case{"quantity_lt",
+             "select l_orderkey from lineitem where l_quantity < 24",
              1.4},
         // Conjunction of a range and a one-sided bound.
-        Case{"select l_orderkey from lineitem where l_discount between "
+        Case{"discount_between_and_quantity_lt",
+             "select l_orderkey from lineitem where l_discount between "
              "0.05 and 0.07 and l_quantity < 24",
              2.5},
         // Point lookup on a unique key.
-        Case{"select o_custkey from orders where o_orderkey = 50", 2.0},
+        Case{"orderkey_point",
+             "select o_custkey from orders where o_orderkey = 50", 2.0},
         // Foreign-key equi-join: |lineitem| expected.
-        Case{"select l_orderkey from orders, lineitem where o_orderkey = "
+        Case{"fk_join",
+             "select l_orderkey from orders, lineitem where o_orderkey = "
              "l_orderkey",
              1.5},
         // Join with a selective side.
-        Case{"select l_orderkey from orders, lineitem where o_orderkey = "
+        Case{"fk_join_selective",
+             "select l_orderkey from orders, lineitem where o_orderkey = "
              "l_orderkey and o_orderdate < date '1993-01-01'",
              2.5},
         // Group count: distinct-value product estimate.
-        Case{"select l_returnflag, l_linestatus, count(*) from lineitem "
+        Case{"group_count",
+             "select l_returnflag, l_linestatus, count(*) from lineitem "
              "group by l_returnflag, l_linestatus",
              3.0},
         // IN list.
-        Case{"select o_orderkey from orders where o_orderpriority in "
+        Case{"orderpriority_in",
+             "select o_orderkey from orders where o_orderpriority in "
              "('1-URGENT', '2-HIGH')",
              1.8}));
 

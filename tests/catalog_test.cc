@@ -1,4 +1,8 @@
+#include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <string>
+#include <unordered_set>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -9,6 +13,7 @@
 #include "catalog/value.h"
 #include "storage/buffer_pool.h"
 #include "storage/disk_manager.h"
+#include "storage/heap_file.h"
 #include "util/random.h"
 
 namespace vdb::catalog {
@@ -169,6 +174,52 @@ TEST(HistogramTest, DegenerateSingleValue) {
 TEST(HistogramTest, EmptyInput) {
   Histogram hist = Histogram::Build({}, 32);
   EXPECT_TRUE(hist.empty());
+}
+
+// Histogram bounds as a full sort picks them: the evenly spaced sample
+// positions of the sorted values. Histogram::Build selects the same order
+// statistics without sorting everything.
+std::vector<double> SortedSampleBounds(std::vector<double> values,
+                                       int num_buckets) {
+  std::vector<double> bounds;
+  if (values.empty() || num_buckets < 1) return bounds;
+  std::sort(values.begin(), values.end());
+  const size_t n = values.size();
+  const size_t samples =
+      std::min<size_t>(static_cast<size_t>(num_buckets) + 1, n);
+  for (size_t s = 0; s < samples; ++s) {
+    bounds.push_back(values[s * (n - 1) / (samples > 1 ? samples - 1 : 1)]);
+  }
+  if (bounds.size() < 2) bounds.push_back(bounds.back());
+  return bounds;
+}
+
+void ExpectSameBits(const std::vector<double>& got,
+                    const std::vector<double>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(std::bit_cast<uint64_t>(got[i]),
+              std::bit_cast<uint64_t>(want[i]))
+        << "bound " << i << ": " << got[i] << " vs " << want[i];
+  }
+}
+
+TEST(HistogramTest, BuildMatchesFullSort) {
+  Random rng(11);
+  for (size_t n : {1, 2, 32, 33, 34, 1000}) {
+    std::vector<double> values;
+    for (size_t i = 0; i < n; ++i) {
+      // Every third value repeats a small set so ties straddle samples.
+      values.push_back(i % 3 == 0 ? static_cast<double>(rng.UniformInt(0, 4))
+                                  : rng.UniformDouble(-50.0, 50.0));
+    }
+    for (int buckets : {1, 4, 32, 33}) {
+      SCOPED_TRACE("n=" + std::to_string(n) +
+                   " buckets=" + std::to_string(buckets));
+      ExpectSameBits(Histogram::Build(values, buckets).bounds(),
+                     SortedSampleBounds(values, buckets));
+    }
+  }
 }
 
 class CatalogTest : public ::testing::Test {
@@ -337,6 +388,196 @@ TEST_F(CatalogTest, AnalyzeComputesStats) {
   // name: 7 distinct strings.
   EXPECT_EQ(stats.columns[2].ndv, 7u);
   EXPECT_GT(stats.columns[2].avg_width, 4.0);
+}
+
+// ANALYZE as it was written before the batch page walk: boxed tuples from
+// the copying heap iterator, an unordered_set of Value::Hash for NDV, and
+// a full sort for the histogram. Catalog::Analyze must match it bit for
+// bit on every ColumnStats field.
+struct ReferenceColumn {
+  ColumnStats stats;
+  std::vector<double> bounds;
+};
+
+std::vector<ReferenceColumn> ReferenceAnalyze(const TableInfo& table,
+                                              int buckets,
+                                              uint64_t* row_count) {
+  const size_t num_columns = table.schema.NumColumns();
+  std::vector<ReferenceColumn> out(num_columns);
+  std::vector<std::vector<double>> keys(num_columns);
+  std::vector<std::unordered_set<size_t>> distinct(num_columns);
+  std::vector<double> width_sums(num_columns, 0.0);
+  *row_count = 0;
+  for (auto it = table.heap->Begin(); it.Valid(); it.Next()) {
+    auto tuple = DeserializeTuple(it.record(), table.schema);
+    VDB_CHECK(tuple.ok());
+    ++*row_count;
+    for (size_t c = 0; c < num_columns; ++c) {
+      const Value& value = (*tuple)[c];
+      ColumnStats& cs = out[c].stats;
+      if (value.is_null()) {
+        cs.null_count++;
+        continue;
+      }
+      cs.non_null_count++;
+      keys[c].push_back(value.NumericKey());
+      distinct[c].insert(value.Hash());
+      width_sums[c] += value.type() == TypeId::kString
+                           ? static_cast<double>(value.AsString().size())
+                           : 8.0;
+    }
+  }
+  for (size_t c = 0; c < num_columns; ++c) {
+    ColumnStats& cs = out[c].stats;
+    cs.ndv = distinct[c].size();
+    if (keys[c].empty()) continue;
+    const auto [mn, mx] = std::minmax_element(keys[c].begin(), keys[c].end());
+    cs.min = *mn;
+    cs.max = *mx;
+    cs.avg_width = width_sums[c] / static_cast<double>(cs.non_null_count);
+    out[c].bounds = SortedSampleBounds(std::move(keys[c]), buckets);
+  }
+  return out;
+}
+
+void ExpectAnalyzeMatchesReference(Catalog* catalog, TableInfo* table,
+                                   int buckets) {
+  SCOPED_TRACE(table->name + " buckets=" + std::to_string(buckets));
+  ASSERT_TRUE(catalog->Analyze(table, buckets).ok());
+  uint64_t rows = 0;
+  const std::vector<ReferenceColumn> want =
+      ReferenceAnalyze(*table, buckets, &rows);
+  const TableStats& got = table->stats;
+  EXPECT_EQ(got.row_count, rows);
+  EXPECT_EQ(got.page_count, table->heap->NumPages());
+  ASSERT_EQ(got.columns.size(), want.size());
+  for (size_t c = 0; c < want.size(); ++c) {
+    SCOPED_TRACE("column " + table->schema.column(c).name);
+    const ColumnStats& g = got.columns[c];
+    const ColumnStats& w = want[c].stats;
+    EXPECT_EQ(g.non_null_count, w.non_null_count);
+    EXPECT_EQ(g.null_count, w.null_count);
+    EXPECT_EQ(g.ndv, w.ndv);
+    EXPECT_EQ(std::bit_cast<uint64_t>(g.min), std::bit_cast<uint64_t>(w.min));
+    EXPECT_EQ(std::bit_cast<uint64_t>(g.max), std::bit_cast<uint64_t>(w.max));
+    EXPECT_EQ(std::bit_cast<uint64_t>(g.avg_width),
+              std::bit_cast<uint64_t>(w.avg_width));
+    ExpectSameBits(g.histogram.bounds(), want[c].bounds);
+  }
+}
+
+// Strings around the 8-byte NumericKey prefix: shorter, exact, longer
+// (sharing a prefix, so keys tie while hashes differ), and empty.
+const std::vector<std::string>& EdgeStrings() {
+  static const std::vector<std::string> strings = {
+      "", "a", "abcdefg", "abcdefgh", "abcdefghi", "abcdefghij-long-tail",
+      "abcdefgh-other", "zz", "\xff\x01", "ABCDEFGH"};
+  return strings;
+}
+
+TEST_F(CatalogTest, AnalyzeMatchesBoxedReference) {
+  Random rng(23);
+  auto maybe_null = [&](TypeId type, Value value) {
+    return rng.Bernoulli(0.15) ? Value::Null(type) : std::move(value);
+  };
+
+  // NULLs in every column type, across several pages, with some records
+  // deleted (one page entirely) so the walk skips dead slots and pages.
+  auto mixed = catalog_.CreateTable(
+      "mixed", Schema({Column("b", TypeId::kBool), Column("i", TypeId::kInt64),
+                       Column("d", TypeId::kDouble),
+                       Column("t", TypeId::kDate),
+                       Column("s", TypeId::kString)}));
+  ASSERT_TRUE(mixed.ok());
+  for (int r = 0; r < 1500; ++r) {
+    const std::string& s = EdgeStrings()[rng.Uniform(EdgeStrings().size())];
+    Tuple tuple{
+        maybe_null(TypeId::kBool, Value::Bool(rng.Bernoulli(0.3))),
+        maybe_null(TypeId::kInt64, Value::Int64(rng.UniformInt(-1000, 1000))),
+        maybe_null(TypeId::kDouble, Value::Double(rng.UniformDouble(-5, 5))),
+        maybe_null(TypeId::kDate, Value::Date(rng.UniformInt(8000, 8100))),
+        maybe_null(TypeId::kString, Value::String(s + std::to_string(r % 40)))};
+    ASSERT_TRUE(catalog_.Insert(*mixed, tuple).ok());
+  }
+  const storage::PageId first_page = (*mixed)->heap->pages().front();
+  for (uint16_t slot = 0;; ++slot) {
+    if (!catalog_.Delete(*mixed, storage::RecordId{first_page, slot}).ok()) {
+      break;
+    }
+  }
+  const storage::PageId second_page = (*mixed)->heap->pages()[1];
+  for (uint16_t slot = 0; slot < 40; slot += 3) {
+    ASSERT_TRUE(
+        catalog_.Delete(*mixed, storage::RecordId{second_page, slot}).ok());
+  }
+
+  // An all-NULL column (two, of different types) beside a live one.
+  auto all_null = catalog_.CreateTable(
+      "all_null", Schema({Column("x", TypeId::kInt64),
+                          Column("y", TypeId::kString),
+                          Column("z", TypeId::kDouble)}));
+  ASSERT_TRUE(all_null.ok());
+  for (int r = 0; r < 50; ++r) {
+    ASSERT_TRUE(catalog_
+                    .Insert(*all_null, Tuple{Value::Null(TypeId::kInt64),
+                                             Value::Null(TypeId::kString),
+                                             Value::Double(r * 0.5)})
+                    .ok());
+  }
+
+  auto empty = catalog_.CreateTable(
+      "empty", Schema({Column("x", TypeId::kInt64),
+                       Column("s", TypeId::kString)}));
+  ASSERT_TRUE(empty.ok());
+
+  // Edge strings alone, each heavily duplicated.
+  auto strings = catalog_.CreateTable(
+      "strings", Schema({Column("s", TypeId::kString)}));
+  ASSERT_TRUE(strings.ok());
+  for (int r = 0; r < 800; ++r) {
+    ASSERT_TRUE(catalog_
+                    .Insert(*strings, Tuple{Value::String(EdgeStrings()[
+                                          rng.Uniform(EdgeStrings().size())])})
+                    .ok());
+  }
+
+  // Heavy duplicates: three ints and two doubles over many rows.
+  auto dups = catalog_.CreateTable(
+      "dups", Schema({Column("k", TypeId::kInt64),
+                      Column("v", TypeId::kDouble)}));
+  ASSERT_TRUE(dups.ok());
+  for (int r = 0; r < 3000; ++r) {
+    ASSERT_TRUE(catalog_
+                    .Insert(*dups, Tuple{Value::Int64(r % 3 == 0 ? 7 : r % 2),
+                                         Value::Double(r % 5 == 0 ? 0.25
+                                                                  : -1.5)})
+                    .ok());
+  }
+
+  for (TableInfo* table : {*mixed, *all_null, *empty, *strings, *dups}) {
+    for (int buckets : {32, 4, 1}) {
+      ExpectAnalyzeMatchesReference(&catalog_, table, buckets);
+    }
+  }
+}
+
+TEST_F(CatalogTest, AnalyzeMatchesBoxedReferenceAroundBucketCount) {
+  // Row counts below, at and above buckets + 1 = 33.
+  Random rng(29);
+  for (int rows : {1, 2, 5, 32, 33, 34, 1000}) {
+    auto table = catalog_.CreateTable(
+        "n" + std::to_string(rows),
+        Schema({Column("i", TypeId::kInt64), Column("s", TypeId::kString)}));
+    ASSERT_TRUE(table.ok());
+    for (int r = 0; r < rows; ++r) {
+      ASSERT_TRUE(catalog_
+                      .Insert(*table, Tuple{Value::Int64(rng.UniformInt(0, 20)),
+                                            Value::String(EdgeStrings()[r %
+                                                EdgeStrings().size()])})
+                      .ok());
+    }
+    ExpectAnalyzeMatchesReference(&catalog_, *table, 32);
+  }
 }
 
 TEST_F(CatalogTest, AnalyzeAllAndTablesList) {

@@ -1,4 +1,5 @@
 #include <algorithm>
+#include <cstdint>
 #include <cstdlib>
 #include <map>
 #include <set>
@@ -438,6 +439,84 @@ TEST_F(BTreeTest, WorksWithTinyBufferPool) {
   for (auto it = tree.Begin(); it.Valid(); it.Next()) ++count;
   EXPECT_EQ(count, 4000u);
   EXPECT_GT(pool.stats().Misses(), 0u);
+}
+
+// FNV-1a over every page image on `disk`, in page-id order.
+uint64_t HashPageImages(const DiskManager& disk) {
+  uint64_t hash = 0xcbf29ce484222325ULL;
+  Page page;
+  for (PageId id = 0; id < disk.NumPages(); ++id) {
+    disk.ReadPage(id, &page);
+    for (uint64_t i = 0; i < kPageSize; ++i) {
+      hash ^= static_cast<unsigned char>(page.data()[i]);
+      hash *= 0x100000001b3ULL;
+    }
+  }
+  return hash;
+}
+
+// Pins the tree's exact bytes and buffer-pool traffic for one fixed
+// sequence on a pool small enough to evict: random inserts that reach
+// height 3 (so internal nodes split), duplicate runs spanning several
+// leaves, an ascending run, point and range reads, then deletes. Node
+// layout, split points, the stale bytes past num_keys and every
+// FetchPage/UnpinPage all feed these constants, so any change to how
+// nodes are read or edited that is not byte-for-byte neutral fails here.
+// They were recorded from the node code that copied each node out and
+// wrote it back whole; change them only with a deliberate format change.
+TEST(BTreeImageTest, PagesAndPoolTrafficArePinned) {
+  DiskManager disk;
+  BufferPool pool(&disk, 16);
+  BPlusTree tree(&disk, &pool);
+  Random rng(2026);
+  std::vector<std::pair<int64_t, uint64_t>> entries;
+  auto insert = [&](int64_t key, uint64_t value) {
+    ASSERT_TRUE(tree.Insert(key, value).ok());
+    entries.emplace_back(key, value);
+  };
+  for (uint64_t i = 0; i < 160000; ++i) {
+    insert(rng.UniformInt(0, 999999), i);
+  }
+  for (int64_t key : {250000, 250001, 777777}) {
+    for (uint64_t rep = 0; rep < 1200; ++rep) {
+      insert(key, 1000000 + static_cast<uint64_t>(key) * 2000 + rep);
+    }
+  }
+  for (int64_t key = 1000000; key < 1060000; ++key) {
+    insert(key, static_cast<uint64_t>(key));
+  }
+  uint64_t looked_up = 0;
+  for (int i = 0; i < 2000; ++i) {
+    auto values = tree.Lookup(rng.UniformInt(0, 1100000));
+    ASSERT_TRUE(values.ok());
+    looked_up += values->size();
+  }
+  uint64_t ranged = 0;
+  for (auto it = tree.SeekGE(249990); it.Valid() && it.key() <= 250010;
+       it.Next()) {
+    ++ranged;
+  }
+  for (size_t i = 0; i < entries.size(); i += 7) {
+    ASSERT_TRUE(tree.Delete(entries[i].first, entries[i].second).ok());
+  }
+  EXPECT_TRUE(tree.Delete(250000, 0xdead).IsNotFound());
+  EXPECT_TRUE(tree.Delete(-5, 1).IsNotFound());
+  uint64_t scanned = 0;
+  for (auto it = tree.Begin(); it.Valid(); it.Next()) ++scanned;
+
+  EXPECT_EQ(tree.Height(), 3u);
+  EXPECT_EQ(tree.NumPages(), 761u);
+  EXPECT_EQ(tree.NumEntries(), 191657u);
+  EXPECT_EQ(scanned, tree.NumEntries());
+  EXPECT_EQ(looked_up, 404u);
+  EXPECT_EQ(ranged, 2402u);
+  const BufferPoolStats stats = pool.stats();
+  EXPECT_EQ(stats.hits, 714534u);
+  EXPECT_EQ(stats.sequential_misses, 0u);
+  EXPECT_EQ(stats.random_misses, 162481u);
+  EXPECT_EQ(stats.page_writes, 159537u);
+  pool.FlushAll();
+  EXPECT_EQ(HashPageImages(disk), 12188527343236617327ULL);
 }
 
 // Property test: tree contents always match a reference multimap across a

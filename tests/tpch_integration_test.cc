@@ -5,7 +5,9 @@
 // hold regardless of data.
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <map>
 #include <set>
 #include <string>
@@ -415,6 +417,77 @@ TEST_F(TpchIntegrationTest, EstimatesRankQ4VsQ13CpuPlansCorrectly) {
   const double q4_swing = estimate(*q4, slow) / estimate(*q4, fast);
   const double q13_swing = estimate(*q13, slow) / estimate(*q13, fast);
   EXPECT_GT(q13_swing, q4_swing);
+}
+
+// FNV-1a accumulator for the load fingerprints below.
+struct Fnv1a {
+  uint64_t hash = 0xcbf29ce484222325ULL;
+  void Add(const void* data, size_t size) {
+    const auto* bytes = static_cast<const unsigned char*>(data);
+    for (size_t i = 0; i < size; ++i) {
+      hash ^= bytes[i];
+      hash *= 0x100000001b3ULL;
+    }
+  }
+  void Add(uint64_t v) { Add(&v, sizeof(v)); }
+  void Add(double v) { Add(std::bit_cast<uint64_t>(v)); }
+};
+
+// The whole SF 0.01 load — inserts, the index back-fills and ANALYZE —
+// must leave the same database: the same page images, the same buffer
+// pool traffic, the same statistics and the same index shapes. The
+// constants pin the back-fill's page order and pin release end to end
+// (the 64-page pool evicts often enough that holding a heap page pinned
+// during its inserts moves the counters); tree shape (NumPages, Height)
+// feeds what-if index costing. The constants were recorded from the load
+// that copied and boxed every record.
+TEST(TpchLoadTest, LeavesTheSameDatabase) {
+  exec::Database db;
+  ASSERT_TRUE(db.buffer_pool()->Resize(64).ok());
+  datagen::TpchConfig config;
+  config.scale_factor = 0.01;
+  config.seed = 17;
+  ASSERT_TRUE(datagen::GenerateTpch(db.catalog(), config).ok());
+
+  const storage::BufferPoolStats stats = db.buffer_pool()->stats();
+  EXPECT_EQ(stats.hits, 786323u);
+  EXPECT_EQ(stats.sequential_misses, 6351u);
+  EXPECT_EQ(stats.random_misses, 31615u);
+  EXPECT_EQ(stats.page_writes, 31615u);
+
+  Fnv1a table_stats;
+  Fnv1a index_shapes;
+  for (const TableInfo* table : db.catalog()->Tables()) {
+    table_stats.Add(table->stats.row_count);
+    table_stats.Add(table->stats.page_count);
+    for (const catalog::ColumnStats& column : table->stats.columns) {
+      table_stats.Add(column.non_null_count);
+      table_stats.Add(column.null_count);
+      table_stats.Add(column.ndv);
+      table_stats.Add(column.min);
+      table_stats.Add(column.max);
+      table_stats.Add(column.avg_width);
+      table_stats.Add(static_cast<uint64_t>(column.histogram.bounds().size()));
+      for (double bound : column.histogram.bounds()) table_stats.Add(bound);
+    }
+    for (const catalog::IndexInfo* index : table->indexes) {
+      index_shapes.Add(index->tree->NumPages());
+      index_shapes.Add(static_cast<uint64_t>(index->tree->Height()));
+      index_shapes.Add(index->tree->NumEntries());
+    }
+  }
+  EXPECT_EQ(table_stats.hash, 13652573669207290714ULL);
+  EXPECT_EQ(index_shapes.hash, 1514605692604317780ULL);
+
+  db.buffer_pool()->FlushAll();
+  Fnv1a pages;
+  storage::Page page;
+  for (storage::PageId id = 0; id < db.disk()->NumPages(); ++id) {
+    db.disk()->ReadPage(id, &page);
+    pages.Add(page.data(), storage::kPageSize);
+  }
+  EXPECT_EQ(db.disk()->NumPages(), 2413u);
+  EXPECT_EQ(pages.hash, 12378964562200689570ULL);
 }
 
 }  // namespace
