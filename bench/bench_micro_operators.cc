@@ -267,15 +267,13 @@ class JsonCaptureReporter : public benchmark::ConsoleReporter {
 // Expanded BENCHMARK_MAIN() with the JSON side channel bolted on.
 int main(int argc, char** argv) {
   // The shared Database reads VDB_EXEC_MODE / VDB_EXEC_THREADS /
-  // VDB_SPILL at construction and the kernel library reads VDB_KERNELS
-  // on first dispatch. Scrub them before anything is built so ambient
-  // values cannot skew the numbers the perf gate compares against
+  // VDB_SPILL at construction. Scrub them before anything is built so
+  // ambient values cannot skew the numbers the perf gate compares against
   // bench/baseline.json; benchmarks that want a non-default mode pin it
   // explicitly (RunEngineThroughput).
   ::unsetenv("VDB_EXEC_MODE");
   ::unsetenv("VDB_EXEC_THREADS");
   ::unsetenv("VDB_SPILL");
-  ::unsetenv("VDB_KERNELS");
   vdb::bench::InitMetrics();
   vdb::bench::BenchReport report("micro_operators");
   vdb::bench::Stopwatch total_watch;

@@ -56,7 +56,7 @@ class ValueVector {
     strings_[i].assign(v.data(), v.size());
   }
 
-  /// Raw array access for the SIMD kernel library (src/plan/kernels/):
+  /// Raw array access for the expression kernels (src/plan/kernels/):
   /// contiguous payload and null-byte storage. The int64 channel backs
   /// Int64, Date, and Bool vectors; null bytes are 0 (valid) or 1 (null).
   const int64_t* Int64Data() const { return ints_.data(); }

@@ -127,9 +127,9 @@ void CompactByBools(const ValueVector& flags, Batch* batch) {
   batch->sel.resize(kept);
 }
 
-// --- SIMD kernel fast paths (src/plan/kernels/) -----------------------------
+// --- kernel fast paths (src/plan/kernels/) ----------------------------------
 // Comparisons and fused arithmetic over column/constant operands on the
-// int64 or double channel dispatch to the runtime-selected kernel table.
+// int64 or double channel call the expression kernels.
 // Anything outside that domain (strings, dense sub-expression operands,
 // null constants, mixed int/double columns) falls back to the loops
 // below, which remain the semantic reference.
@@ -244,7 +244,6 @@ bool TryKernelFilterCompare(sql::BinaryOp op, const BoundExpr& left,
                             const BoundExpr& right, Batch* batch) {
   KernelCompare cmp;
   if (!ClassifyKernelCompare(op, left, right, *batch, &cmp)) return false;
-  const kern::KernelTable& kt = kern::Active();
   const size_t n = batch->sel.size();
   uint32_t* sel = batch->sel.data();
   const size_t rows = batch->num_rows;
@@ -252,20 +251,20 @@ bool TryKernelFilterCompare(sql::BinaryOp op, const BoundExpr& left,
   size_t kept = 0;
   if (cmp.is_double) {
     if (cmp.rhs_col != nullptr) {
-      kept = kt.filter_f64_col_col(cmp.op, cmp.lhs->DoubleData(), lnulls,
+      kept = kern::FilterF64ColCol(cmp.op, cmp.lhs->DoubleData(), lnulls,
                                    cmp.rhs_col->DoubleData(),
                                    NullsOrNullptr(*cmp.rhs_col, rows), sel, n);
     } else {
-      kept = kt.filter_f64_col_const(cmp.op, cmp.lhs->DoubleData(), lnulls,
+      kept = kern::FilterF64ColConst(cmp.op, cmp.lhs->DoubleData(), lnulls,
                                      sel, n, cmp.rhs_const->AsDouble());
     }
   } else {
     if (cmp.rhs_col != nullptr) {
-      kept = kt.filter_i64_col_col(cmp.op, cmp.lhs->Int64Data(), lnulls,
+      kept = kern::FilterI64ColCol(cmp.op, cmp.lhs->Int64Data(), lnulls,
                                    cmp.rhs_col->Int64Data(),
                                    NullsOrNullptr(*cmp.rhs_col, rows), sel, n);
     } else {
-      kept = kt.filter_i64_col_const(cmp.op, cmp.lhs->Int64Data(), lnulls,
+      kept = kern::FilterI64ColConst(cmp.op, cmp.lhs->Int64Data(), lnulls,
                                      sel, n, cmp.rhs_const->AsInt64());
     }
   }
@@ -278,7 +277,6 @@ bool TryKernelEvalCompare(sql::BinaryOp op, const BoundExpr& left,
                           ValueVector* out) {
   KernelCompare cmp;
   if (!ClassifyKernelCompare(op, left, right, batch, &cmp)) return false;
-  const kern::KernelTable& kt = kern::Active();
   const size_t n = batch.sel.size();
   const uint32_t* sel = batch.sel.data();
   const size_t rows = batch.num_rows;
@@ -288,22 +286,22 @@ bool TryKernelEvalCompare(sql::BinaryOp op, const BoundExpr& left,
   uint8_t* out_nulls = out->MutableNullData();
   if (cmp.is_double) {
     if (cmp.rhs_col != nullptr) {
-      kt.eval_f64_col_col(cmp.op, cmp.lhs->DoubleData(), lnulls,
+      kern::EvalF64ColCol(cmp.op, cmp.lhs->DoubleData(), lnulls,
                           cmp.rhs_col->DoubleData(),
                           NullsOrNullptr(*cmp.rhs_col, rows), sel, n, out_vals,
                           out_nulls);
     } else {
-      kt.eval_f64_col_const(cmp.op, cmp.lhs->DoubleData(), lnulls, sel, n,
+      kern::EvalF64ColConst(cmp.op, cmp.lhs->DoubleData(), lnulls, sel, n,
                             cmp.rhs_const->AsDouble(), out_vals, out_nulls);
     }
   } else {
     if (cmp.rhs_col != nullptr) {
-      kt.eval_i64_col_col(cmp.op, cmp.lhs->Int64Data(), lnulls,
+      kern::EvalI64ColCol(cmp.op, cmp.lhs->Int64Data(), lnulls,
                           cmp.rhs_col->Int64Data(),
                           NullsOrNullptr(*cmp.rhs_col, rows), sel, n, out_vals,
                           out_nulls);
     } else {
-      kt.eval_i64_col_const(cmp.op, cmp.lhs->Int64Data(), lnulls, sel, n,
+      kern::EvalI64ColConst(cmp.op, cmp.lhs->Int64Data(), lnulls, sel, n,
                             cmp.rhs_const->AsInt64(), out_vals, out_nulls);
     }
   }
@@ -411,7 +409,6 @@ bool TryKernelFusedArith(const BinaryBoundExpr& expr, const Batch& batch,
 
   kern::ArithOp inner_op;
   KernelArithOpFor(inner->op(), &inner_op);
-  const kern::KernelTable& kt = kern::Active();
   const size_t n = batch.sel.size();
   const uint32_t* sel = batch.sel.data();
   const size_t rows = batch.num_rows;
@@ -428,8 +425,8 @@ bool TryKernelFusedArith(const BinaryBoundExpr& expr, const Batch& batch,
       return false;
     }
     out->Reset(TypeId::kDouble, n);
-    kt.fused_arith_f64(inner_op, outer_op, inner_on_left, x, y, z, sel, n,
-                       out->MutableDoubleData(), out->MutableNullData());
+    kern::FusedArithF64(inner_op, outer_op, inner_on_left, x, y, z, sel, n,
+                        out->MutableDoubleData(), out->MutableNullData());
     return true;
   }
 
@@ -446,8 +443,8 @@ bool TryKernelFusedArith(const BinaryBoundExpr& expr, const Batch& batch,
           ? TypeId::kDate
           : TypeId::kInt64;
   out->Reset(out_type, n);
-  kt.fused_arith_i64(inner_op, outer_op, inner_on_left, x, y, z, sel, n,
-                     out->MutableInt64Data(), out->MutableNullData());
+  kern::FusedArithI64(inner_op, outer_op, inner_on_left, x, y, z, sel, n,
+                      out->MutableInt64Data(), out->MutableNullData());
   return true;
 }
 

@@ -1,22 +1,17 @@
-// Explicit-SIMD expression kernels with runtime ISA dispatch
-// (DESIGN.md §15). Function-pointer tables per ISA (scalar / SSE2 /
-// AVX2); the active table is picked once from CPUID + the VDB_KERNELS
-// environment escape hatch (`scalar` forces the reference kernels,
-// `native` — the default — picks the best ISA the host supports).
+// Expression kernels for the batch engine (DESIGN.md §15): the typed
+// inner loops behind comparison filters, comparison evaluation and fused
+// two-op arithmetic over int64/double columns and constants. One
+// portable implementation, called directly by plan/expr_batch.cc.
 //
-// Every kernel is byte-identical to the scalar reference over the same
-// input bytes: identical selection results, identical 0/1 payloads, and
-// identical null bytes — including rows whose inputs are null (payloads
-// are computed unconditionally, then masked by the null OR), NaN and
-// ±0.0 doubles (compares are composed from IEEE `<`/`>` exactly as the
-// scalar three-way compare), and INT64_MIN/MAX boundaries. The
-// conformance test (tests/kernel_conformance_test.cc) and the kernel
-// fuzz mode (`vdb_fuzz --mode kernels`) enforce this.
-//
-// This header is deliberately freestanding (cstdint/cstddef only): the
-// per-ISA translation units include it under different -m flags, and
-// pulling in STL headers there would risk the linker folding an
-// AVX2-compiled inline symbol into the baseline path.
+// Results follow catalog::Value semantics: a three-way compare that
+// treats NaN as equal to everything (as catalog::CompareAt does), a NULL
+// input drops the row from a filter and sets the null byte in an eval,
+// int64 `+ - *` wrap around, and doubles round after each operation.
+// Payloads are computed for every row, null ones included, and then
+// masked by the null OR. The conformance test
+// (tests/kernel_conformance_test.cc) checks every kernel against a
+// per-element Value-semantics reference; `vdb_fuzz --mode kernels`
+// checks the batch engine against the row engine.
 
 #ifndef VDB_PLAN_KERNELS_KERNELS_H_
 #define VDB_PLAN_KERNELS_KERNELS_H_
@@ -25,11 +20,6 @@
 #include <cstdint>
 
 namespace vdb::plan::kernels {
-
-enum class Isa : uint8_t { kScalar = 0, kSse2 = 1, kAvx2 = 2 };
-inline constexpr int kNumIsas = 3;
-
-const char* IsaName(Isa isa);
 
 /// Comparison operators, mirroring the sql::BinaryOp comparison subset.
 enum class CmpOp : uint8_t { kEq = 0, kNe, kLt, kLe, kGt, kGe };
@@ -52,83 +42,58 @@ struct F64Operand {
   double constant = 0.0;
 };
 
-/// Function-pointer table of one ISA's kernels.
-///
-/// Filter kernels compact `sel` in place (keep rows where the compare
-/// holds and both inputs are non-null) and return the kept count;
-/// column payloads are indexed by `sel[i]`, fusing the compare with the
-/// selection-vector compaction. Eval kernels write dense 0/1 payloads
-/// to `out_vals[i]` and ORed null bytes to `out_nulls[i]`. A null
-/// `nulls` pointer marks a column the caller proved null-free, which
-/// skips the per-row null logic for the whole batch.
-struct KernelTable {
-  Isa isa = Isa::kScalar;
+// Filter kernels compact `sel` in place (keep rows where the compare
+// holds and both inputs are non-null) and return the kept count; column
+// payloads are indexed by `sel[i]`. Eval kernels write dense 0/1
+// payloads to `out_vals[i]` and ORed null bytes to `out_nulls[i]`. A
+// null `nulls` pointer marks a column the caller proved null-free, which
+// skips the per-row null logic for the whole batch.
 
-  size_t (*filter_i64_col_const)(CmpOp op, const int64_t* vals,
-                                 const uint8_t* nulls, uint32_t* sel,
-                                 size_t n, int64_t constant) = nullptr;
-  size_t (*filter_f64_col_const)(CmpOp op, const double* vals,
-                                 const uint8_t* nulls, uint32_t* sel,
-                                 size_t n, double constant) = nullptr;
-  size_t (*filter_i64_col_col)(CmpOp op, const int64_t* a,
-                               const uint8_t* a_nulls, const int64_t* b,
-                               const uint8_t* b_nulls, uint32_t* sel,
-                               size_t n) = nullptr;
-  size_t (*filter_f64_col_col)(CmpOp op, const double* a,
-                               const uint8_t* a_nulls, const double* b,
-                               const uint8_t* b_nulls, uint32_t* sel,
-                               size_t n) = nullptr;
+size_t FilterI64ColConst(CmpOp op, const int64_t* vals, const uint8_t* nulls,
+                         uint32_t* sel, size_t n, int64_t constant);
+size_t FilterF64ColConst(CmpOp op, const double* vals, const uint8_t* nulls,
+                         uint32_t* sel, size_t n, double constant);
+size_t FilterI64ColCol(CmpOp op, const int64_t* a, const uint8_t* a_nulls,
+                       const int64_t* b, const uint8_t* b_nulls,
+                       uint32_t* sel, size_t n);
+size_t FilterF64ColCol(CmpOp op, const double* a, const uint8_t* a_nulls,
+                       const double* b, const uint8_t* b_nulls, uint32_t* sel,
+                       size_t n);
 
-  void (*eval_i64_col_const)(CmpOp op, const int64_t* vals,
-                             const uint8_t* nulls, const uint32_t* sel,
-                             size_t n, int64_t constant, int64_t* out_vals,
-                             uint8_t* out_nulls) = nullptr;
-  void (*eval_f64_col_const)(CmpOp op, const double* vals,
-                             const uint8_t* nulls, const uint32_t* sel,
-                             size_t n, double constant, int64_t* out_vals,
-                             uint8_t* out_nulls) = nullptr;
-  void (*eval_i64_col_col)(CmpOp op, const int64_t* a, const uint8_t* a_nulls,
-                           const int64_t* b, const uint8_t* b_nulls,
-                           const uint32_t* sel, size_t n, int64_t* out_vals,
-                           uint8_t* out_nulls) = nullptr;
-  void (*eval_f64_col_col)(CmpOp op, const double* a, const uint8_t* a_nulls,
-                           const double* b, const uint8_t* b_nulls,
-                           const uint32_t* sel, size_t n, int64_t* out_vals,
-                           uint8_t* out_nulls) = nullptr;
+void EvalI64ColConst(CmpOp op, const int64_t* vals, const uint8_t* nulls,
+                     const uint32_t* sel, size_t n, int64_t constant,
+                     int64_t* out_vals, uint8_t* out_nulls);
+void EvalF64ColConst(CmpOp op, const double* vals, const uint8_t* nulls,
+                     const uint32_t* sel, size_t n, double constant,
+                     int64_t* out_vals, uint8_t* out_nulls);
+void EvalI64ColCol(CmpOp op, const int64_t* a, const uint8_t* a_nulls,
+                   const int64_t* b, const uint8_t* b_nulls,
+                   const uint32_t* sel, size_t n, int64_t* out_vals,
+                   uint8_t* out_nulls);
+void EvalF64ColCol(CmpOp op, const double* a, const uint8_t* a_nulls,
+                   const double* b, const uint8_t* b_nulls,
+                   const uint32_t* sel, size_t n, int64_t* out_vals,
+                   uint8_t* out_nulls);
 
-  /// Fused two-op arithmetic: `(x inner y) outer z` when `inner_on_left`,
-  /// else `z outer (x inner y)` — one pass, no intermediate vector.
-  /// Evaluation order matches the unfused two-pass path exactly (separate
-  /// mul/add, never FMA-contracted), so results are bitwise identical.
-  void (*fused_arith_i64)(ArithOp inner, ArithOp outer, bool inner_on_left,
-                          I64Operand x, I64Operand y, I64Operand z,
-                          const uint32_t* sel, size_t n, int64_t* out_vals,
-                          uint8_t* out_nulls) = nullptr;
-  void (*fused_arith_f64)(ArithOp inner, ArithOp outer, bool inner_on_left,
-                          F64Operand x, F64Operand y, F64Operand z,
-                          const uint32_t* sel, size_t n, double* out_vals,
-                          uint8_t* out_nulls) = nullptr;
-};
-
-/// The table picked at startup (CPUID + VDB_KERNELS). Never null.
-const KernelTable& Active();
-Isa ActiveIsa();
-
-/// Forces the active table (tests and the kernel fuzzer flip between
-/// `scalar` and `native` in-process). Returns false if `isa` is not
-/// compiled in or not supported by this CPU.
-bool SetActiveIsa(Isa isa);
-
-/// The table for one ISA, or nullptr when it is not compiled in or the
-/// host CPU lacks it. `TableFor(Isa::kScalar)` never returns null.
-const KernelTable* TableFor(Isa isa);
+/// Fused two-op arithmetic: `(x inner y) outer z` when `inner_on_left`,
+/// else `z outer (x inner y)` — one pass, no intermediate vector.
+/// Evaluation order matches the unfused two-pass path exactly (separate
+/// mul/add, never FMA-contracted), so results are bitwise identical.
+void FusedArithI64(ArithOp inner, ArithOp outer, bool inner_on_left,
+                   I64Operand x, I64Operand y, I64Operand z,
+                   const uint32_t* sel, size_t n, int64_t* out_vals,
+                   uint8_t* out_nulls);
+void FusedArithF64(ArithOp inner, ArithOp outer, bool inner_on_left,
+                   F64Operand x, F64Operand y, F64Operand z,
+                   const uint32_t* sel, size_t n, double* out_vals,
+                   uint8_t* out_nulls);
 
 /// True when any of the first `n` null bytes is set. The per-batch
-/// null-free check behind the kernels' fast path.
+/// null-free check behind the kernels' no-null path.
 bool HasNulls(const uint8_t* nulls, size_t n);
 
 /// True when `sel` is the identity permutation 0..n-1 (fresh scan
-/// batches); the kernels' contiguous SIMD path triggers on this.
+/// batches).
 inline bool SelIsIdentity(const uint32_t* sel, size_t n) {
   // sel is ascending and duplicate-free, so testing the ends suffices.
   return n == 0 || (sel[0] == 0 && sel[n - 1] == n - 1);

@@ -9,7 +9,6 @@
 
 #include "datagen/synthetic.h"
 #include "exec/database.h"
-#include "plan/kernels/kernels.h"
 #include "sim/machine.h"
 #include "sim/virtual_machine.h"
 #include "testing/generator.h"
@@ -22,24 +21,6 @@ namespace {
 using catalog::Tuple;
 using catalog::TypeId;
 using catalog::Value;
-namespace kern = ::vdb::plan::kernels;
-
-/// Restores the entry kernel table when a seed finishes (the campaign
-/// driver and any embedding test must not observe a changed ISA).
-class IsaGuard {
- public:
-  IsaGuard() : entry_(kern::ActiveIsa()) {}
-  ~IsaGuard() { kern::SetActiveIsa(entry_); }
-
- private:
-  kern::Isa entry_;
-};
-
-kern::Isa BestCompiledIsa() {
-  if (kern::TableFor(kern::Isa::kAvx2) != nullptr) return kern::Isa::kAvx2;
-  if (kern::TableFor(kern::Isa::kSse2) != nullptr) return kern::Isa::kSse2;
-  return kern::Isa::kScalar;
-}
 
 /// Bitwise value equality: NULLs match NULLs, doubles compare by bit
 /// pattern (NaN payloads and signed zeros included), everything else by
@@ -65,9 +46,9 @@ std::string RowToString(const Tuple& row) {
   return out + ")";
 }
 
-/// Ordered, bitwise row comparison. Ordering matters: every configuration
-/// runs the same plan shape, so even unordered queries must emit rows in
-/// the same sequence.
+/// Ordered, bitwise row comparison. Ordering matters: both engines run
+/// the same plan shape, so even unordered queries must emit rows in the
+/// same sequence.
 bool RowsBitwiseEqual(const std::vector<Tuple>& a, const std::vector<Tuple>& b,
                       std::string* detail) {
   if (a.size() != b.size()) {
@@ -91,14 +72,12 @@ bool RowsBitwiseEqual(const std::vector<Tuple>& a, const std::vector<Tuple>& b,
   return true;
 }
 
-/// Simulated-charge comparison. The kernel layer promises bit-identical
-/// floating-point charges across ISAs (`bitwise`); the row engine is held
-/// to the differential harness's established tolerance, since the two
-/// engines accumulate the same charges in different association orders.
+/// Simulated-charge comparison, held to the differential harness's
+/// established tolerance: the two engines accumulate the same charges in
+/// different association orders.
 bool ChargesEqual(const exec::QueryResult& a, const exec::QueryResult& b,
-                  bool bitwise, std::string* detail) {
-  const auto close = [bitwise](double x, double y) {
-    if (bitwise) return std::memcmp(&x, &y, sizeof(double)) == 0;
+                  std::string* detail) {
+  const auto close = [](double x, double y) {
     return std::fabs(x - y) <=
            1e-12 + 1e-9 * std::max(std::fabs(x), std::fabs(y));
   };
@@ -226,33 +205,29 @@ std::string GenerateTemplateQuery(Random* rng) {
   return sql;
 }
 
-Result<exec::QueryResult> RunConfigured(exec::Database* db,
-                                        const sim::VirtualMachine& vm,
-                                        const std::string& sql,
-                                        exec::ExecMode mode, kern::Isa isa) {
+Result<exec::QueryResult> RunOnEngine(exec::Database* db,
+                                      const sim::VirtualMachine& vm,
+                                      const std::string& sql,
+                                      exec::ExecMode mode) {
   db->set_exec_mode(mode);
-  kern::SetActiveIsa(isa);
-  // Every configuration starts cold, so buffer-pool state can never
-  // explain (or mask) a charge difference.
+  // Both engines start cold, so buffer-pool state can never explain (or
+  // mask) a charge difference.
   (void)db->DropCaches();
   return db->Execute(sql, vm);
 }
 
-/// Runs one statement under scalar kernels, native kernels, and the row
-/// engine; appends a violation description on any divergence. Returns
-/// true when the statement matched across all three configurations.
+/// Runs one statement on the batch engine (which calls the kernels) and
+/// on the row engine; appends a violation description on any divergence.
+/// Returns true when the two engines matched.
 bool CheckStatement(exec::Database* db, const sim::VirtualMachine& vm,
                     const std::string& sql, uint64_t seed,
                     KernelFuzzStats* stats,
                     std::vector<std::string>* violations) {
   ++stats->queries;
-  const kern::Isa native = BestCompiledIsa();
-  const Result<exec::QueryResult> scalar =
-      RunConfigured(db, vm, sql, exec::ExecMode::kBatch, kern::Isa::kScalar);
-  const Result<exec::QueryResult> simd =
-      RunConfigured(db, vm, sql, exec::ExecMode::kBatch, native);
+  const Result<exec::QueryResult> batch =
+      RunOnEngine(db, vm, sql, exec::ExecMode::kBatch);
   const Result<exec::QueryResult> row =
-      RunConfigured(db, vm, sql, exec::ExecMode::kRow, native);
+      RunOnEngine(db, vm, sql, exec::ExecMode::kRow);
   db->set_exec_mode(exec::ExecMode::kBatch);
 
   auto report = [&](const std::string& axis, const std::string& detail) {
@@ -263,22 +238,20 @@ bool CheckStatement(exec::Database* db, const sim::VirtualMachine& vm,
     violations->push_back(out.str());
   };
 
-  if (!scalar.ok() || !simd.ok() || !row.ok()) {
-    // Errors must agree everywhere (same code); a statement the dialect
-    // rejects is a skip, not a kernel result.
-    if (scalar.ok() != simd.ok() || scalar.ok() != row.ok()) {
+  if (!batch.ok() || !row.ok()) {
+    // Errors must agree (same code); a statement the dialect rejects is a
+    // skip, not a kernel result.
+    if (batch.ok() != row.ok()) {
       report("error agreement",
-             std::string("scalar=") +
-                 (scalar.ok() ? "rows" : scalar.status().ToString()) +
-                 " native=" + (simd.ok() ? "rows" : simd.status().ToString()) +
-                 " row-engine=" + (row.ok() ? "rows" : row.status().ToString()));
+             std::string("batch=") +
+                 (batch.ok() ? "rows" : batch.status().ToString()) +
+                 " row-engine=" +
+                 (row.ok() ? "rows" : row.status().ToString()));
       return false;
     }
-    if (scalar.status().code() != simd.status().code() ||
-        scalar.status().code() != row.status().code()) {
-      report("error code", scalar.status().ToString() + " vs " +
-                               simd.status().ToString() + " vs " +
-                               row.status().ToString());
+    if (batch.status().code() != row.status().code()) {
+      report("error code",
+             batch.status().ToString() + " vs " + row.status().ToString());
       return false;
     }
     ++stats->skipped;
@@ -286,19 +259,11 @@ bool CheckStatement(exec::Database* db, const sim::VirtualMachine& vm,
   }
 
   std::string detail;
-  if (!RowsBitwiseEqual(scalar->rows, simd->rows, &detail)) {
-    report("scalar vs native rows", detail);
-    return false;
-  }
-  if (!ChargesEqual(*scalar, *simd, /*bitwise=*/true, &detail)) {
-    report("scalar vs native charges", detail);
-    return false;
-  }
-  if (!RowsBitwiseEqual(scalar->rows, row->rows, &detail)) {
+  if (!RowsBitwiseEqual(batch->rows, row->rows, &detail)) {
     report("batch vs row engine rows", detail);
     return false;
   }
-  if (!ChargesEqual(*scalar, *row, /*bitwise=*/false, &detail)) {
+  if (!ChargesEqual(*batch, *row, &detail)) {
     report("batch vs row engine charges", detail);
     return false;
   }
@@ -318,7 +283,6 @@ std::string KernelFuzzStats::ToString() const {
 std::vector<std::string> RunKernelFuzzSeed(uint64_t seed,
                                            KernelFuzzStats* stats) {
   std::vector<std::string> violations;
-  IsaGuard isa_guard;
   Random rng(seed);
 
   exec::Database db;

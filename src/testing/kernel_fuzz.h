@@ -1,6 +1,7 @@
-// Kernel differential fuzzing: random expression trees executed under
-// every kernel ISA and both engines, with rows and simulated charges
-// required to be bitwise identical (DESIGN.md §15).
+// Kernel differential fuzzing: random expression trees executed on the
+// batch engine (which calls the expression kernels) and on the row
+// engine, with rows required to be bitwise identical and simulated
+// charges equal (DESIGN.md §15).
 
 #ifndef VDB_TESTING_KERNEL_FUZZ_H_
 #define VDB_TESTING_KERNEL_FUZZ_H_
@@ -27,12 +28,11 @@ struct KernelFuzzStats {
 /// adversarial numeric columns, generates random expression trees (both
 /// the generic SQL generator's and kernel-shaped templates — col/const
 /// compares, col/col compares, fused arithmetic), and executes each
-/// statement three ways: batch engine with the scalar kernel table
-/// (VDB_KERNELS=scalar), batch engine with the best compiled SIMD table
-/// (VDB_KERNELS=native), and the row engine. Rows must be bitwise
-/// identical (doubles compared by bit pattern, ordering included) and the
-/// simulated charges (elapsed / cpu / io seconds, physical reads) exactly
-/// equal across all three. Returns one description per violation.
+/// statement on the batch engine and on the row engine. Rows must be
+/// bitwise identical (doubles compared by bit pattern, ordering
+/// included) and the simulated charges (elapsed / cpu / io seconds,
+/// physical reads) equal within the differential harness's tolerance.
+/// Returns one description per violation.
 std::vector<std::string> RunKernelFuzzSeed(uint64_t seed,
                                            KernelFuzzStats* stats);
 

@@ -441,41 +441,52 @@ TEST_F(ServerTest, PingAndMetricsCommands) {
 TEST_F(ServerTest, AdmissionFastFailAtCap) {
   // Occupy the serial tenant (cap = 1 + 0) with a long cross join, then
   // probe: while it runs, a probe must be rejected immediately with
-  // ResourceExhausted. The occupy/probe cycle retries because the probe
-  // can lose the race with the heavy query's submission; one cycle where
-  // the probe lands mid-execution is enough.
+  // ResourceExhausted. The probe can win the race with the heavy query's
+  // submission; then the probe holds the only slot, the heavy query is
+  // the one rejected, and the cycle proves nothing. Only cycles where the
+  // heavy query was admitted count, and the loop runs until one of them
+  // sees the probe rejected or the deadline passes.
   WireClient probe = Connect();
   // One executed query gives the tenant a retry-after hint.
   auto first = probe.Query("serial", "select id from events limit 1;");
   ASSERT_TRUE(first.ok() && first->error.ok());
   bool saw_rejection = false;
-  for (int attempt = 0; attempt < 10 && !saw_rejection; ++attempt) {
+  int admitted_cycles = 0;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (!saw_rejection && std::chrono::steady_clock::now() < deadline) {
+    std::atomic<bool> heavy_admitted{false};
     std::atomic<bool> heavy_done{false};
     std::thread heavy([&] {
       WireClient conn = Connect();
       auto response = conn.Query("serial", kHeavySql);
+      heavy_admitted.store(response.ok() && response->error.ok());
       heavy_done.store(true);
       ASSERT_TRUE(response.ok());
-      // The heavy query itself may be the one rejected if a probe from a
-      // previous iteration still occupies the tenant.
+      // The heavy query itself is rejected when the probe holds the slot.
       EXPECT_TRUE(response->error.ok() ||
                   response->error.IsResourceExhausted())
           << response->error.ToString();
     });
+    bool probe_rejected = false;
     while (!heavy_done.load()) {
       auto response =
           probe.Query("serial", "select id from events limit 1;");
       ASSERT_TRUE(response.ok()) << response.status().ToString();
       if (response->error.IsResourceExhausted()) {
         EXPECT_GT(response->stats.retry_after_ms, 0.0);
-        saw_rejection = true;
+        probe_rejected = true;
         break;
       }
     }
     heavy.join();
+    if (!heavy_admitted.load()) continue;
+    ++admitted_cycles;
+    saw_rejection = probe_rejected;
   }
   EXPECT_TRUE(saw_rejection)
-      << "probe never found the serial tenant at its admission cap";
+      << "probe never found the serial tenant at its admission cap in "
+      << admitted_cycles << " cycles with the heavy query admitted";
   // The tenant recovers once the heavy query finishes.
   auto after = probe.Query("serial", "select id from events limit 1;");
   ASSERT_TRUE(after.ok());

@@ -19,9 +19,9 @@
 // --mode kernels runs the kernel differential campaign (DESIGN.md §15):
 // each seed materializes an adversarial numeric stress table plus a
 // random schema, generates kernel-shaped and generic expression trees,
-// and executes every statement under VDB_KERNELS=scalar, the best
-// compiled SIMD table, and the row engine, requiring bitwise-identical
-// rows and simulated charges across all three.
+// and executes every statement on the batch engine, which calls the
+// expression kernels, and on the row engine, which does not. Rows must
+// be bitwise identical and simulated charges equal.
 //
 // --mode crash runs the durability fault-injection campaign (DESIGN.md
 // §14): each seed builds a durable database under a random workload, cuts
@@ -345,7 +345,7 @@ int RunCrashCampaign(uint64_t first_seed, uint64_t last_seed) {
 }
 
 // ---------------------------------------------------------------------------
-// --mode kernels: batch engine under every kernel ISA vs the row engine.
+// --mode kernels: batch engine (expression kernels) vs the row engine.
 
 int RunKernelCampaign(uint64_t first_seed, uint64_t last_seed) {
   vdb::fuzz::KernelFuzzStats stats;
