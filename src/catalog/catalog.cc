@@ -4,7 +4,6 @@
 #include <bit>
 
 #include "catalog/batch.h"
-#include "catalog/wal_payloads.h"
 #include "util/string_util.h"
 
 namespace vdb::catalog {
@@ -131,27 +130,7 @@ Result<TableInfo*> Catalog::CreateTable(const std::string& name,
   table->schema = schema;
   table->heap = std::make_unique<storage::HeapFile>(disk_, pool_);
   tables_.push_back(std::move(table));
-  if (wal_ != nullptr) {
-    VDB_RETURN_NOT_OK(
-        wal_->Append(storage::WalRecordType::kCreateTable,
-                     walenc::EncodeCreateTable(name, schema))
-            .status());
-  }
   return tables_.back().get();
-}
-
-Result<uint32_t> Catalog::TableId(const TableInfo* table) const {
-  for (size_t i = 0; i < tables_.size(); ++i) {
-    if (tables_[i].get() == table) return static_cast<uint32_t>(i);
-  }
-  return Status::NotFound("table not registered in this catalog");
-}
-
-Result<TableInfo*> Catalog::TableById(uint32_t table_id) const {
-  if (table_id >= tables_.size()) {
-    return Status::NotFound("no table with id " + std::to_string(table_id));
-  }
-  return tables_[table_id].get();
 }
 
 Result<TableInfo*> Catalog::GetTable(const std::string& name) const {
@@ -210,15 +189,6 @@ Result<IndexInfo*> Catalog::CreateIndex(const std::string& index_name,
       }));
   indexes_.push_back(std::move(index));
   table->indexes.push_back(indexes_.back().get());
-  if (wal_ != nullptr) {
-    VDB_ASSIGN_OR_RETURN(uint32_t table_id, TableId(table));
-    VDB_RETURN_NOT_OK(
-        wal_->Append(storage::WalRecordType::kCreateIndex,
-                     walenc::EncodeCreateIndex(
-                         index_name, table_id,
-                         static_cast<uint32_t>(column_index)))
-            .status());
-  }
   return indexes_.back().get();
 }
 
@@ -240,17 +210,6 @@ Status Catalog::Insert(TableInfo* table, const Tuple& tuple) {
   const std::vector<storage::ZoneSample> samples = ComputeZoneSamples(tuple);
   VDB_ASSIGN_OR_RETURN(storage::RecordId rid,
                        table->heap->Insert(record, &samples));
-  if (wal_ != nullptr) {
-    VDB_ASSIGN_OR_RETURN(uint32_t table_id, TableId(table));
-    VDB_ASSIGN_OR_RETURN(uint64_t page_index,
-                         table->heap->PageIndexOf(rid.page_id));
-    VDB_ASSIGN_OR_RETURN(
-        storage::WriteAheadLog::AppendInfo info,
-        wal_->Append(storage::WalRecordType::kInsert,
-                     walenc::EncodeInsert(table_id, page_index, rid.slot,
-                                          record)));
-    table->heap->StampPageLsn(page_index, info.lsn);
-  }
   for (IndexInfo* index : table->indexes) {
     const Value& value = tuple[index->column_index];
     if (value.is_null()) continue;
@@ -261,16 +220,17 @@ Status Catalog::Insert(TableInfo* table, const Tuple& tuple) {
 }
 
 Status Catalog::Delete(TableInfo* table, storage::RecordId rid) {
+  if (table->indexes.empty()) return table->heap->Delete(rid);
+  // The record's key values name the index entries to remove, so read it
+  // before the heap slot is cleared.
+  VDB_ASSIGN_OR_RETURN(std::string record, table->heap->Get(rid));
   VDB_RETURN_NOT_OK(table->heap->Delete(rid));
-  if (wal_ != nullptr) {
-    VDB_ASSIGN_OR_RETURN(uint32_t table_id, TableId(table));
-    VDB_ASSIGN_OR_RETURN(uint64_t page_index,
-                         table->heap->PageIndexOf(rid.page_id));
-    VDB_ASSIGN_OR_RETURN(
-        storage::WriteAheadLog::AppendInfo info,
-        wal_->Append(storage::WalRecordType::kDelete,
-                     walenc::EncodeDelete(table_id, page_index, rid.slot)));
-    table->heap->StampPageLsn(page_index, info.lsn);
+  VDB_ASSIGN_OR_RETURN(Tuple tuple, DeserializeTuple(record, table->schema));
+  for (IndexInfo* index : table->indexes) {
+    const Value& value = tuple[index->column_index];
+    if (value.is_null()) continue;
+    VDB_ASSIGN_OR_RETURN(int64_t key, IndexKeyFromValue(value));
+    VDB_RETURN_NOT_OK(index->tree->Delete(key, rid.Pack()));
   }
   return Status::OK();
 }

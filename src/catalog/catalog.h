@@ -1,6 +1,5 @@
 // The catalog: tables (heap files + schemas), secondary B+-tree indexes,
-// and per-column statistics, with insert/delete maintaining all three
-// (and WAL-logging mutations when durability is on).
+// and per-column statistics, with insert/delete maintaining all three.
 
 #ifndef VDB_CATALOG_CATALOG_H_
 #define VDB_CATALOG_CATALOG_H_
@@ -16,7 +15,6 @@
 #include "storage/buffer_pool.h"
 #include "storage/disk_manager.h"
 #include "storage/heap_file.h"
-#include "storage/wal.h"
 #include "util/result.h"
 
 namespace vdb::catalog {
@@ -72,23 +70,9 @@ class Catalog {
   /// Inserts a tuple, updating all indexes of the table.
   Status Insert(TableInfo* table, const Tuple& tuple);
 
-  /// Deletes one record by id, leaving index entries behind (index scans
-  /// re-check the heap, mirroring the append-mostly heap design). Logged
-  /// when a WAL is attached.
+  /// Deletes one record by id, removing its entries from all indexes of
+  /// the table. The heap slot is not reclaimed (append-mostly design).
   Status Delete(TableInfo* table, storage::RecordId rid);
-
-  /// Attaches the database's write-ahead log (nullptr detaches, e.g.
-  /// during replay so redone work is not re-logged). With a WAL attached,
-  /// CreateTable/CreateIndex/Insert/Delete append redo records before
-  /// returning; durability of those records is governed by the group
-  /// commit policy (WriteAheadLog::Flush), not by this class.
-  void SetWal(storage::WriteAheadLog* wal) { wal_ = wal; }
-
-  /// Creation ordinal of `table` — the stable id WAL records use.
-  Result<uint32_t> TableId(const TableInfo* table) const;
-
-  /// Inverse of TableId.
-  Result<TableInfo*> TableById(uint32_t table_id) const;
 
   /// Scans the table and recomputes its statistics (row/page counts, and
   /// per-column NDV, min/max, null fraction, equi-depth histogram).
@@ -100,7 +84,6 @@ class Catalog {
  private:
   storage::DiskManager* disk_;
   storage::BufferPool* pool_;
-  storage::WriteAheadLog* wal_ = nullptr;
   std::vector<std::unique_ptr<TableInfo>> tables_;
   std::vector<std::unique_ptr<IndexInfo>> indexes_;
 };
@@ -111,8 +94,7 @@ Result<int64_t> IndexKeyFromValue(const Value& value);
 
 /// One zone-map sample per column of `tuple` (Value::NumericKey plus the
 /// null flag), the form HeapFile::Insert folds into its per-page
-/// statistics. Also used by recovery replay to rebuild zone maps from
-/// logged records.
+/// statistics.
 std::vector<storage::ZoneSample> ComputeZoneSamples(const Tuple& tuple);
 
 }  // namespace vdb::catalog

@@ -1,8 +1,5 @@
 #include "exec/database.h"
 
-#include <sys/stat.h>
-
-#include <cerrno>
 #include <cstdlib>
 #include <cstring>
 #include <optional>
@@ -50,52 +47,6 @@ Status Database::ApplyVmConfig(const sim::VirtualMachine& vm) {
 }
 
 Status Database::DropCaches() { return pool_->EvictAll(); }
-
-Result<RecoveryStats> Database::EnableDurability(const std::string& dir) {
-  if (wal_ != nullptr) {
-    return Status::InvalidArgument("durability already enabled");
-  }
-  if (!catalog_->Tables().empty()) {
-    return Status::InvalidArgument(
-        "EnableDurability requires a fresh database (recovered state "
-        "would collide with existing tables)");
-  }
-  if (::mkdir(dir.c_str(), 0755) != 0 && errno != EEXIST) {
-    return Status::IOError("cannot create durability directory: " + dir);
-  }
-  // Recover with no WAL attached, so redone work is not re-logged.
-  VDB_ASSIGN_OR_RETURN(RecoveryStats stats, Recover(dir, catalog_.get()));
-  VDB_ASSIGN_OR_RETURN(wal_, storage::WriteAheadLog::Open(WalPath(dir)));
-  if (stats.checkpoint_loaded &&
-      stats.checkpoint_lsn >= wal_->flushed_lsn()) {
-    // The checkpoint covers the whole log: a crash interrupted the
-    // post-checkpoint truncation. Complete it now.
-    VDB_RETURN_NOT_OK(wal_->Reset(stats.checkpoint_lsn + 1));
-  }
-  durability_dir_ = dir;
-  catalog_->SetWal(wal_.get());
-  pool_->SetWal(wal_.get());
-  return stats;
-}
-
-Status Database::Checkpoint() {
-  if (wal_ == nullptr) {
-    return Status::InvalidArgument("durability is not enabled");
-  }
-  VDB_RETURN_NOT_OK(wal_->Flush());
-  pool_->FlushAll();
-  VDB_RETURN_NOT_OK(WriteCheckpoint(catalog_.get(), disk_.get(),
-                                    CheckpointPath(durability_dir_),
-                                    wal_->flushed_lsn()));
-  return wal_->Reset(wal_->flushed_lsn() + 1);
-}
-
-Status Database::FlushWal() {
-  if (wal_ == nullptr) {
-    return Status::InvalidArgument("durability is not enabled");
-  }
-  return wal_->Flush();
-}
 
 Result<plan::LogicalNodePtr> Database::PlanLogical(
     const std::string& sql) const {

@@ -1,6 +1,5 @@
 // Database: the top-level engine facade — storage, catalog, optimizer,
-// and both executors, with durability (WAL + crash recovery) and
-// spill-to-disk attached (DESIGN.md §14).
+// and both executors, with spill-to-disk attached (DESIGN.md §14).
 
 #ifndef VDB_EXEC_DATABASE_H_
 #define VDB_EXEC_DATABASE_H_
@@ -13,7 +12,6 @@
 #include "exec/db_config.h"
 #include "exec/execution_context.h"
 #include "exec/executor.h"
-#include "exec/recovery.h"
 #include "exec/spill.h"
 #include "optimizer/optimizer.h"
 #include "sim/noise.h"
@@ -80,25 +78,6 @@ class Database {
 
   /// Drops the page cache, so the next query measures cold-cache behavior.
   Status DropCaches();
-
-  /// Turns on durability against directory `dir` (created if missing) and
-  /// runs crash recovery first: any checkpoint image plus surviving WAL
-  /// records in `dir` are replayed into this (required fresh) database.
-  /// Afterwards every catalog mutation is WAL-logged, and the buffer pool
-  /// enforces write-ahead ordering on dirty-page write-back. Returns what
-  /// recovery found (all zeroes for a brand-new directory).
-  Result<RecoveryStats> EnableDurability(const std::string& dir);
-
-  /// Flushes the WAL, flushes all dirty pages, writes an atomic checkpoint
-  /// image, and truncates the WAL. Requires EnableDurability.
-  Status Checkpoint();
-
-  /// Forces buffered WAL records to disk (the group-commit boundary).
-  /// Requires EnableDurability.
-  Status FlushWal();
-
-  /// The attached WAL, or nullptr when durability is off.
-  storage::WriteAheadLog* wal() { return wal_.get(); }
 
   /// The spill-file provider handed to every query, or nullptr when the
   /// VDB_SPILL environment variable was "off" at construction time (the
@@ -184,8 +163,6 @@ class Database {
   std::unique_ptr<storage::DiskManager> disk_;
   std::unique_ptr<storage::BufferPool> pool_;
   std::unique_ptr<catalog::Catalog> catalog_;
-  std::unique_ptr<storage::WriteAheadLog> wal_;
-  std::string durability_dir_;
   std::unique_ptr<SpillManager> spill_;
   optimizer::Optimizer optimizer_;
   DbInstanceConfig config_;

@@ -92,13 +92,6 @@ void FusedArithF64(ArithOp inner, ArithOp outer, bool inner_on_left,
 /// null-free check behind the kernels' no-null path.
 bool HasNulls(const uint8_t* nulls, size_t n);
 
-/// True when `sel` is the identity permutation 0..n-1 (fresh scan
-/// batches).
-inline bool SelIsIdentity(const uint32_t* sel, size_t n) {
-  // sel is ascending and duplicate-free, so testing the ends suffices.
-  return n == 0 || (sel[0] == 0 && sel[n - 1] == n - 1);
-}
-
 }  // namespace vdb::plan::kernels
 
 #endif  // VDB_PLAN_KERNELS_KERNELS_H_

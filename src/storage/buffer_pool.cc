@@ -149,11 +149,6 @@ Result<size_t> BufferPool::EvictOne() {
 }
 
 void BufferPool::FlushFrame(Frame* frame) {
-  // Write-ahead rule: the log records behind this dirty page must be
-  // durable before the page itself is written back.
-  if (wal_ != nullptr && wal_->HasUnflushed()) {
-    VDB_CHECK_OK(wal_->Flush());
-  }
   disk_->WritePage(frame->page_id, frame->page);
   frame->dirty = false;
   stats_.page_writes++;

@@ -1,6 +1,5 @@
 // BufferPool: clock-eviction page cache over the simulated disk,
-// charging hits and misses to the execution context and enforcing
-// WAL-first write-back of dirty pages (DESIGN.md §14).
+// charging hits and misses to the execution context.
 
 #ifndef VDB_STORAGE_BUFFER_POOL_H_
 #define VDB_STORAGE_BUFFER_POOL_H_
@@ -11,7 +10,6 @@
 
 #include "storage/disk_manager.h"
 #include "storage/page.h"
-#include "storage/wal.h"
 #include "util/result.h"
 #include "util/status.h"
 
@@ -52,11 +50,8 @@ struct BufferPoolStats {
 /// changes hit rates — the mechanism behind memory sensitivity in the paper.
 ///
 /// Eviction contract: pinned frames are never evicted (FetchPage fails
-/// with ResourceExhausted when every frame is pinned); the CLOCK hand
-/// gives each frame one second chance before reuse; and when a WAL is
-/// attached (SetWal), no dirty page is written back — on eviction,
-/// FlushAll, or Resize — before the log records covering its changes are
-/// durable (write-ahead ordering, DESIGN.md §14).
+/// with ResourceExhausted when every frame is pinned), and the CLOCK hand
+/// gives each frame one second chance before reuse.
 class BufferPool {
  public:
   /// `capacity_pages` must be >= 1.
@@ -88,15 +83,6 @@ class BufferPool {
   /// Installs (or clears, with nullptr) the physical-I/O observer.
   void SetIoListener(IoListener* listener) { listener_ = listener; }
 
-  /// Attaches the database's write-ahead log (nullptr detaches). With a
-  /// WAL attached the pool enforces write-ahead ordering: before any
-  /// dirty page is written back (eviction, FlushAll, Resize), pending log
-  /// records are flushed first, so no data page ever reaches the disk
-  /// ahead of the log records that produced it. The check is coarse — it
-  /// flushes the whole pending tail rather than tracking per-frame
-  /// recovery LSNs — which is correct, just occasionally early.
-  void SetWal(WriteAheadLog* wal) { wal_ = wal; }
-
   const BufferPoolStats& stats() const { return stats_; }
   void ResetStats() { stats_ = BufferPoolStats(); }
 
@@ -124,7 +110,6 @@ class BufferPool {
   std::vector<size_t> free_list_;
   size_t clock_hand_ = 0;
   IoListener* listener_ = nullptr;
-  WriteAheadLog* wal_ = nullptr;
   BufferPoolStats stats_;
 };
 

@@ -14,10 +14,9 @@ namespace vdb::storage {
 
 /// The simulated disk: a growable array of pages held in host memory.
 /// What matters is that every transfer between the disk and the buffer
-/// pool is observable, so the executor can charge I/O time for it.
-/// Durability is layered on separately — the real-file WriteAheadLog plus
-/// checkpoint images (wal.h, DESIGN.md §14) can reconstruct this array's
-/// contents after a crash; the simulated disk itself stays volatile.
+/// pool is observable, so the executor can charge I/O time for it. It is
+/// volatile: every database is loaded afresh at start-up, and nothing
+/// outlives the process.
 class DiskManager {
  public:
   DiskManager() = default;

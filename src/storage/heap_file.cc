@@ -64,9 +64,7 @@ Result<RecordId> HeapFile::Insert(
   }
   if (page == nullptr) {
     page_id = disk_->AllocatePage();
-    page_index_[page_id] = pages_.size();
     pages_.push_back(page_id);
-    page_lsns_.push_back(0);
     zone_map_.AddPage();
     VDB_ASSIGN_OR_RETURN(page,
                          pool_->FetchPage(page_id, AccessPattern::kRandom));
@@ -130,67 +128,6 @@ Status HeapFile::Delete(RecordId rid) {
   }
   VDB_RETURN_NOT_OK(pool_->UnpinPage(rid.page_id, dirty));
   return status;
-}
-
-Result<uint64_t> HeapFile::PageIndexOf(PageId page_id) const {
-  const auto it = page_index_.find(page_id);
-  if (it == page_index_.end()) {
-    return Status::NotFound("page not in this heap");
-  }
-  return it->second;
-}
-
-Result<bool> HeapFile::ApplyRedoInsert(
-    uint64_t page_index, uint16_t slot, std::string_view record, Lsn lsn,
-    const std::vector<ZoneSample>* zone_samples) {
-  if (page_index < pages_.size() && page_lsns_[page_index] >= lsn) {
-    return false;  // ARIES redo test: the page already reflects this LSN
-  }
-  if (page_index > pages_.size()) {
-    return Status::IOError("redo insert skips a heap page");
-  }
-  VDB_ASSIGN_OR_RETURN(RecordId rid, Insert(record, zone_samples));
-  VDB_ASSIGN_OR_RETURN(uint64_t landed, PageIndexOf(rid.page_id));
-  if (landed != page_index || rid.slot != slot) {
-    return Status::IOError("redo insert landed at a different slot");
-  }
-  page_lsns_[landed] = lsn;
-  return true;
-}
-
-Result<bool> HeapFile::ApplyRedoDelete(uint64_t page_index, uint16_t slot,
-                                       Lsn lsn) {
-  if (page_index >= pages_.size()) {
-    return Status::IOError("redo delete targets a missing heap page");
-  }
-  if (page_lsns_[page_index] >= lsn) return false;
-  VDB_RETURN_NOT_OK(Delete(RecordId{pages_[page_index], slot}));
-  page_lsns_[page_index] = lsn;
-  return true;
-}
-
-Status HeapFile::RestorePage(const Page& image, Lsn page_lsn,
-                             const ZoneEntry* zone) {
-  const PageId page_id = disk_->AllocatePage();
-  disk_->WritePage(page_id, image);
-  page_index_[page_id] = pages_.size();
-  pages_.push_back(page_id);
-  page_lsns_.push_back(page_lsn);
-  if (zone != nullptr) {
-    zone_map_.RestoreEntry(*zone);
-  } else {
-    ZoneEntry untracked;
-    untracked.tracked = false;
-    zone_map_.RestoreEntry(std::move(untracked));
-  }
-  const uint16_t num_slots = NumSlots(image);
-  for (uint16_t slot = 0; slot < num_slots; ++slot) {
-    uint16_t offset = 0;
-    uint16_t length = 0;
-    ReadSlot(image, slot, &offset, &length);
-    if (offset != 0) ++num_records_;
-  }
-  return Status::OK();
 }
 
 namespace {

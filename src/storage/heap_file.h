@@ -6,13 +6,11 @@
 
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "storage/buffer_pool.h"
 #include "storage/disk_manager.h"
 #include "storage/page.h"
-#include "storage/wal.h"
 #include "storage/zone_map.h"
 #include "util/result.h"
 
@@ -125,50 +123,7 @@ class HeapFile {
   Result<bool> ReadPageForScanPinned(size_t page_index, ScanPagePin* pin,
                                      std::vector<RecordView>* out) const;
 
-  // --- Durability hooks (DESIGN.md §14) ---------------------------------
-  //
-  // WAL records address heap pages by their 0-based append position in
-  // this heap ("page index"), not by global PageId: global ids depend on
-  // the interleaving of allocations across tables and are reassigned when
-  // a database is rebuilt during recovery, while page indexes are stable.
-  // Each page carries a recovery LSN in a sidecar (persisted by the
-  // checkpoint image, not in the 8 KiB page itself, so the on-page record
-  // layout — and therefore page capacity — is unchanged); the ARIES redo
-  // test "skip if page LSN >= record LSN" makes replay idempotent.
-
-  /// Append position of `page_id` within this heap.
-  Result<uint64_t> PageIndexOf(PageId page_id) const;
-
-  /// Recovery LSN of the `page_index`-th page (0 = never logged).
-  Lsn PageLsn(uint64_t page_index) const { return page_lsns_[page_index]; }
-
-  /// Records that the mutation with `lsn` touched the page (called by the
-  /// catalog after logging, and by the redo paths below).
-  void StampPageLsn(uint64_t page_index, Lsn lsn) {
-    page_lsns_[page_index] = lsn;
-  }
-
-  /// Redoes a logged insert that originally landed at (page_index, slot).
-  /// Returns false (and does nothing) if the page's LSN already covers
-  /// `lsn`; fails if the append lands anywhere else — that means the log
-  /// and the recovered image diverge.
-  Result<bool> ApplyRedoInsert(uint64_t page_index, uint16_t slot,
-                               std::string_view record, Lsn lsn,
-                               const std::vector<ZoneSample>* zone_samples =
-                                   nullptr);
-
-  /// Redoes a logged delete of (page_index, slot); same LSN skip rule.
-  Result<bool> ApplyRedoDelete(uint64_t page_index, uint16_t slot, Lsn lsn);
-
-  /// Appends a raw page image during checkpoint load, bypassing the
-  /// buffer pool (recovery is not a measured workload). `page_lsn` seeds
-  /// the sidecar; live records on the image are counted. `zone` restores
-  /// the page's zone entry (nullptr — e.g. a version-1 checkpoint with no
-  /// zone section — appends an untracked entry that never prunes).
-  Status RestorePage(const Page& image, Lsn page_lsn,
-                     const ZoneEntry* zone = nullptr);
-
-  /// Pages in append order, for the checkpoint writer.
+  /// Page ids in append order.
   const std::vector<PageId>& pages() const { return pages_; }
 
   /// Per-page zone statistics, parallel to pages().
@@ -188,9 +143,6 @@ class HeapFile {
   DiskManager* disk_;
   BufferPool* pool_;
   std::vector<PageId> pages_;
-  /// Per-page recovery LSN, parallel to `pages_` (see StampPageLsn).
-  std::vector<Lsn> page_lsns_;
-  std::unordered_map<PageId, uint64_t> page_index_;
   /// Per-page column statistics, parallel to `pages_` (DESIGN.md §16).
   ZoneMap zone_map_;
   uint64_t num_records_ = 0;

@@ -96,9 +96,6 @@ class ZoneMap {
  public:
   void AddPage() { entries_.emplace_back(); }
 
-  /// Appends a restored entry during checkpoint load.
-  void RestoreEntry(ZoneEntry entry) { entries_.push_back(std::move(entry)); }
-
   /// Folds one inserted row into the last page's entry. `samples` is one
   /// ZoneSample per schema column, or nullptr for a schema-blind insert
   /// (which marks the page untracked forever).

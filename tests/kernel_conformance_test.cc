@@ -246,8 +246,8 @@ std::vector<uint32_t> MakeSel(SelShape shape, size_t n) {
       for (size_t i = 0; i < n; i += 3) sel.push_back(static_cast<uint32_t>(i));
       break;
     case SelShape::kDenseOffset:
-      // Dense run that skips row 0, so SelIsIdentity is false even though
-      // consecutive rows are adjacent.
+      // Dense run that skips row 0: consecutive rows are adjacent, but the
+      // selection is not the identity.
       for (size_t i = 1; i < n; ++i) sel.push_back(static_cast<uint32_t>(i));
       break;
     case SelShape::kEmpty:
@@ -640,16 +640,6 @@ TEST(KernelDispatch, HasNullsProbesExactPrefix) {
   EXPECT_TRUE(HasNulls(nulls.data(), 100));
   EXPECT_FALSE(HasNulls(nulls.data(), 99));
   EXPECT_FALSE(HasNulls(nulls.data(), 0));
-}
-
-TEST(KernelDispatch, SelIsIdentityChecksEndpoints) {
-  std::vector<uint32_t> sel = {0, 1, 2, 3};
-  EXPECT_TRUE(SelIsIdentity(sel.data(), sel.size()));
-  EXPECT_TRUE(SelIsIdentity(sel.data(), 0));
-  std::vector<uint32_t> gap = {0, 2, 3};
-  EXPECT_FALSE(SelIsIdentity(gap.data(), gap.size()));
-  std::vector<uint32_t> offset = {1, 2, 3};
-  EXPECT_FALSE(SelIsIdentity(offset.data(), offset.size()));
 }
 
 }  // namespace

@@ -3,7 +3,7 @@
 // Usage:
 //   vdb_fuzz --seeds 0..500              range of seeds, SQL + metamorphic
 //   vdb_fuzz --seed 1234                 one seed
-//   vdb_fuzz --mode sql|metamorphic|wire|crash|kernels|all   which checks
+//   vdb_fuzz --mode sql|metamorphic|wire|kernels|all   which checks
 //                                        (default all = sql + metamorphic)
 //   vdb_fuzz --queries N                 SQL queries per seed (default 8)
 //   vdb_fuzz --no-env-invariance         skip environment re-runs (faster)
@@ -22,13 +22,6 @@
 // and executes every statement on the batch engine, which calls the
 // expression kernels, and on the row engine, which does not. Rows must
 // be bitwise identical and simulated charges equal.
-//
-// --mode crash runs the durability fault-injection campaign (DESIGN.md
-// §14): each seed builds a durable database under a random workload, cuts
-// its WAL at a random byte offset, recovers, and diffs the result against
-// an oracle that replays exactly the surviving operation prefix. Scratch
-// directories of failing seeds are kept and their paths printed, so CI can
-// upload them as artifacts.
 //
 // Every failure is minimized (query shrinking) and printed with the exact
 // command line that reproduces it. Exit status: 0 when every seed passed,
@@ -50,7 +43,6 @@
 #include "server/tenant.h"
 #include "sim/machine.h"
 #include "sim/virtual_machine.h"
-#include "testing/crash.h"
 #include "testing/differential.h"
 #include "testing/generator.h"
 #include "testing/kernel_fuzz.h"
@@ -73,7 +65,7 @@ struct CliOptions {
 int Usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s [--seeds A..B | --seed N] [--mode sql|metamorphic"
-               "|wire|crash|kernels|all]\n               [--queries N] "
+               "|wire|kernels|all]\n               [--queries N] "
                "[--no-env-invariance]\n",
                argv0);
   return 2;
@@ -291,60 +283,6 @@ int RunWireCampaign(uint64_t first_seed, uint64_t last_seed,
 }
 
 // ---------------------------------------------------------------------------
-// --mode crash: WAL truncation fault injection vs surviving-prefix oracle.
-
-int RunCrashCampaign(uint64_t first_seed, uint64_t last_seed) {
-  const char* scratch = std::getenv("VDB_CRASH_SCRATCH");
-  const std::string scratch_root =
-      scratch != nullptr && scratch[0] != '\0' ? scratch : "/tmp";
-  int failures = 0;
-  uint64_t total_ops = 0;
-  uint64_t surviving_ops = 0;
-  uint64_t checkpoints = 0;
-  for (uint64_t seed = first_seed; seed <= last_seed; ++seed) {
-    const vdb::fuzz::CrashRunReport report =
-        vdb::fuzz::RunCrashSeed(seed, scratch_root);
-    total_ops += report.total_ops;
-    surviving_ops += report.surviving_ops;
-    checkpoints += report.checkpoints;
-    if (!report.ok) {
-      std::printf(
-          "crash-recovery failure (seed %llu): %s\n"
-          "  cut %llu of %llu WAL bytes, %zu/%zu ops expected to survive\n"
-          "  artifacts: %s\n"
-          "  repro:  vdb_fuzz --seed %llu --mode crash\n",
-          static_cast<unsigned long long>(seed), report.failure.c_str(),
-          static_cast<unsigned long long>(report.truncate_at),
-          static_cast<unsigned long long>(report.wal_file_bytes),
-          report.surviving_ops, report.total_ops,
-          report.artifact_dir.c_str(),
-          static_cast<unsigned long long>(seed));
-      ++failures;
-    }
-    if ((seed - first_seed) % 50 == 49) {
-      std::printf("... seed %llu: %llu ops, %llu survived truncation, "
-                  "%llu checkpoints, %d failure%s\n",
-                  static_cast<unsigned long long>(seed),
-                  static_cast<unsigned long long>(total_ops),
-                  static_cast<unsigned long long>(surviving_ops),
-                  static_cast<unsigned long long>(checkpoints), failures,
-                  failures == 1 ? "" : "s");
-      std::fflush(stdout);
-    }
-  }
-  std::printf(
-      "crash seeds %llu..%llu: %llu ops (%llu survived truncation, "
-      "%llu checkpoints), %d failure%s\n",
-      static_cast<unsigned long long>(first_seed),
-      static_cast<unsigned long long>(last_seed),
-      static_cast<unsigned long long>(total_ops),
-      static_cast<unsigned long long>(surviving_ops),
-      static_cast<unsigned long long>(checkpoints), failures,
-      failures == 1 ? "" : "s");
-  return failures == 0 ? 0 : 1;
-}
-
-// ---------------------------------------------------------------------------
 // --mode kernels: batch engine (expression kernels) vs the row engine.
 
 int RunKernelCampaign(uint64_t first_seed, uint64_t last_seed) {
@@ -395,8 +333,8 @@ int main(int argc, char** argv) {
       if (value == nullptr) return Usage(argv[0]);
       options.mode = value;
       if (options.mode != "sql" && options.mode != "metamorphic" &&
-          options.mode != "wire" && options.mode != "crash" &&
-          options.mode != "kernels" && options.mode != "all") {
+          options.mode != "wire" && options.mode != "kernels" &&
+          options.mode != "all") {
         return Usage(argv[0]);
       }
     } else if (arg == "--queries") {
@@ -414,9 +352,6 @@ int main(int argc, char** argv) {
   if (options.mode == "wire") {
     return RunWireCampaign(options.first_seed, options.last_seed,
                            options.differential.queries_per_seed);
-  }
-  if (options.mode == "crash") {
-    return RunCrashCampaign(options.first_seed, options.last_seed);
   }
   if (options.mode == "kernels") {
     return RunKernelCampaign(options.first_seed, options.last_seed);
