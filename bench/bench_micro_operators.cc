@@ -62,22 +62,17 @@ void RunQuery(benchmark::State& state, const char* sql) {
   exec::Database* db = GlobalDb();
   sim::VirtualMachine vm = BenchVm();
   VDB_CHECK_OK(db->ApplyVmConfig(vm));
-  // Pin the engine configuration instead of inheriting whatever the
-  // shared Database picked up at construction: the baselines for these
-  // entries are single-threaded batch-engine numbers, and an ambient
-  // VDB_EXEC_MODE / VDB_EXEC_THREADS would silently shift them.
+  // Pin the engine instead of inheriting whatever the shared Database
+  // picked up at construction: the baselines for these entries are
+  // batch-engine numbers, and an ambient VDB_EXEC_MODE would silently
+  // shift them.
   const exec::ExecMode saved = db->exec_mode();
-  const exec::QueryOptions saved_options = db->query_options();
   db->set_exec_mode(exec::ExecMode::kBatch);
-  exec::QueryOptions options = saved_options;
-  options.num_threads = 1;
-  db->set_query_options(options);
   for (auto _ : state) {
     auto result = db->Execute(sql, vm);
     VDB_CHECK(result.ok()) << result.status();
     benchmark::DoNotOptimize(result->rows.size());
   }
-  db->set_query_options(saved_options);
   db->set_exec_mode(saved);
 }
 
@@ -119,23 +114,17 @@ BENCHMARK(BM_GroupAggregate);
 // engine is expected to hold a large multiple over the row engine on
 // scan-heavy shapes.
 void RunEngineThroughput(benchmark::State& state, exec::ExecMode mode,
-                         const char* sql, double rows_per_query,
-                         int threads = 1) {
+                         const char* sql, double rows_per_query) {
   exec::Database* db = GlobalDb();
   sim::VirtualMachine vm = BenchVm();
   VDB_CHECK_OK(db->ApplyVmConfig(vm));
   const exec::ExecMode saved = db->exec_mode();
-  const exec::QueryOptions saved_options = db->query_options();
   db->set_exec_mode(mode);
-  exec::QueryOptions options = saved_options;
-  options.num_threads = threads;
-  db->set_query_options(options);
   for (auto _ : state) {
     auto result = db->Execute(sql, vm);
     VDB_CHECK(result.ok()) << result.status();
     benchmark::DoNotOptimize(result->rows.size());
   }
-  db->set_query_options(saved_options);
   db->set_exec_mode(saved);
   state.counters["rows_per_sec"] = benchmark::Counter(
       rows_per_query * static_cast<double>(state.iterations()),
@@ -165,23 +154,6 @@ void BM_ScanFilterBatchEngine(benchmark::State& state) {
                       "select count(*) from t where v < 100", 50000);
 }
 BENCHMARK(BM_ScanFilterBatchEngine);
-
-// Morsel-parallel variants: same queries, four workers. On multi-core
-// hosts these should hold a healthy multiple over the serial batch
-// numbers; the baseline entries are set from a single-core machine, so
-// the gate only catches regressions against that conservative floor.
-void BM_ScanBatchEngine4T(benchmark::State& state) {
-  RunEngineThroughput(state, exec::ExecMode::kBatch,
-                      "select count(*) from t", 50000, /*threads=*/4);
-}
-BENCHMARK(BM_ScanBatchEngine4T);
-
-void BM_ScanFilterBatchEngine4T(benchmark::State& state) {
-  RunEngineThroughput(state, exec::ExecMode::kBatch,
-                      "select count(*) from t where v < 100", 50000,
-                      /*threads=*/4);
-}
-BENCHMARK(BM_ScanFilterBatchEngine4T);
 
 void BM_OptimizerPrepareJoin(benchmark::State& state) {
   exec::Database* db = GlobalDb();
@@ -266,13 +238,12 @@ class JsonCaptureReporter : public benchmark::ConsoleReporter {
 
 // Expanded BENCHMARK_MAIN() with the JSON side channel bolted on.
 int main(int argc, char** argv) {
-  // The shared Database reads VDB_EXEC_MODE / VDB_EXEC_THREADS /
-  // VDB_SPILL at construction. Scrub them before anything is built so
-  // ambient values cannot skew the numbers the perf gate compares against
-  // bench/baseline.json; benchmarks that want a non-default mode pin it
-  // explicitly (RunEngineThroughput).
+  // The shared Database reads VDB_EXEC_MODE / VDB_SPILL at construction.
+  // Scrub them before anything is built so ambient values cannot skew the
+  // numbers the perf gate compares against bench/baseline.json;
+  // benchmarks that want a non-default mode pin it explicitly
+  // (RunEngineThroughput).
   ::unsetenv("VDB_EXEC_MODE");
-  ::unsetenv("VDB_EXEC_THREADS");
   ::unsetenv("VDB_SPILL");
   vdb::bench::InitMetrics();
   vdb::bench::BenchReport report("micro_operators");

@@ -3,8 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <deque>
-#include <future>
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -13,7 +12,6 @@
 #include <utility>
 
 #include "exec/executor.h"
-#include "exec/morsel.h"
 #include "exec/spill.h"
 #include "obs/metrics.h"
 #include "storage/btree.h"
@@ -228,7 +226,7 @@ class SeqScanOp final : public BatchOp {
     while (filled < Batch::kDefaultRows && !done_) {
       if (cursor_ >= records_.size()) {
         // Zone-map skip: step over provably-empty pages before fetching,
-        // the same bitmap the row engine and morsel coordinator use.
+        // the same bitmap the row engine uses.
         while (page_index_ < prune_.size() && prune_[page_index_] != 0) {
           context_->AddPagesPruned(1);
           ++page_index_;
@@ -723,16 +721,12 @@ class TopNOp final : public BatchOp {
 
 class HashJoinOp final : public BatchOp {
  public:
-  /// `workers` may be null (serial build). With a pool of 2+ threads the
-  /// build side is hashed by parallel workers; see Build().
-  HashJoinOp(ExecutionContext* context, util::ThreadPool* workers,
-             const optimizer::PhysHashJoin& join,
+  HashJoinOp(ExecutionContext* context, const optimizer::PhysHashJoin& join,
              std::vector<BoundExprPtr> left_keys,
              std::vector<BoundExprPtr> right_keys, BoundExprPtr residual,
              std::unique_ptr<BatchOp> left, std::unique_ptr<BatchOp> right)
       : BatchOp("hash_join"),
         context_(context),
-        workers_(workers),
         join_(join),
         left_keys_(std::move(left_keys)),
         right_keys_(std::move(right_keys)),
@@ -780,12 +774,18 @@ class HashJoinOp final : public BatchOp {
   }
 
  private:
-  // Shared with the probe-morsel worker (morsel.h): batch index plus
-  // index into the batch's selection vector; right.batch == kNullBatch
-  // marks no right side (outer/semi/anti).
-  using RowRef = JoinRowRef;
-  using OutRef = JoinOutRef;
-  static constexpr uint32_t kNullBatch = kJoinNullBatch;
+  /// A row of a drained batch vector: batch index plus index into the
+  /// batch's selection vector.
+  struct RowRef {
+    uint32_t batch = 0;
+    uint32_t pos = 0;
+  };
+  /// right.batch == kNullBatch marks no right side (outer/semi/anti).
+  struct OutRef {
+    RowRef left;
+    RowRef right;
+  };
+  static constexpr uint32_t kNullBatch = UINT32_MAX;
 
   Status Build() {
     const CpuWorkModel& cpu = context_->cpu_model();
@@ -939,86 +939,24 @@ class HashJoinOp final : public BatchOp {
     std::unordered_map<size_t, std::vector<RowRef>> table;
     table.reserve(EstimateReserve(join_.children[1]->estimated_rows));
     double build_bytes = 0.0;
-    const bool parallel_build = workers_ != nullptr && workers_->size() > 1 &&
-                                right_batches_.size() > 1;
-    if (parallel_build) {
-      // Workers hash contiguous batch ranges into local tables while the
-      // coordinator runs the unchanged serial per-row charge/spill-bytes
-      // loop (identical charge sequence, bitwise-identical spill
-      // decision). Merging per-hash buckets in worker index order
-      // restores the global build-row order, so the finished table —
-      // including the first-match row semi/anti joins see — is exactly
-      // the serial one.
-      using LocalTable = std::unordered_map<size_t, std::vector<RowRef>>;
-      const size_t num_workers = std::min(
-          static_cast<size_t>(workers_->size()), right_batches_.size());
-      const size_t per_worker =
-          (right_batches_.size() + num_workers - 1) / num_workers;
-      std::vector<std::future<LocalTable>> futures;
-      for (size_t w = 0; w < num_workers; ++w) {
-        const uint32_t begin = static_cast<uint32_t>(w * per_worker);
-        const uint32_t end = static_cast<uint32_t>(
-            std::min(right_batches_.size(), (w + 1) * per_worker));
-        if (begin >= end) break;
-        futures.push_back(
-            workers_->Submit([this, begin, end, num_keys, &right_key]() {
-              LocalTable local;
-              for (uint32_t b = begin; b < end; ++b) {
-                const uint32_t active =
-                    static_cast<uint32_t>(right_batches_[b].NumActive());
-                for (uint32_t p = 0; p < active; ++p) {
-                  size_t h = kHashSeed;
-                  bool has_null = false;
-                  for (size_t k = 0; k < num_keys; ++k) {
-                    auto [vec, idx] = right_key(b, p, k);
-                    if (vec->IsNull(idx)) {
-                      has_null = true;
-                      break;
-                    }
-                    h = CombineHash(h, vec->HashAt(idx));
-                  }
-                  if (has_null) continue;  // NULL keys never join
-                  local[h].push_back(RowRef{b, p});
-                }
-              }
-              return local;
-            }));
-      }
-      for (uint32_t b = 0; b < right_batches_.size(); ++b) {
-        const Batch& batch = right_batches_[b];
-        const uint32_t active = static_cast<uint32_t>(batch.NumActive());
-        for (uint32_t p = 0; p < active; ++p) {
-          context_->ChargeCpu(cpu.ops_per_hash + cpu.ops_per_tuple);
-          build_bytes += ApproxBatchRowBytes(batch, batch.sel[p]);
-        }
-      }
-      for (std::future<LocalTable>& future : futures) {
-        LocalTable local = future.get();
-        for (auto& [h, refs] : local) {
-          std::vector<RowRef>& dst = table[h];
-          dst.insert(dst.end(), refs.begin(), refs.end());
-        }
-      }
-    } else {
-      for (uint32_t b = 0; b < right_batches_.size(); ++b) {
-        const Batch& batch = right_batches_[b];
-        const uint32_t active = static_cast<uint32_t>(batch.NumActive());
-        for (uint32_t p = 0; p < active; ++p) {
-          context_->ChargeCpu(cpu.ops_per_hash + cpu.ops_per_tuple);
-          build_bytes += ApproxBatchRowBytes(batch, batch.sel[p]);
-          size_t h = kHashSeed;
-          bool has_null = false;
-          for (size_t k = 0; k < num_keys; ++k) {
-            auto [vec, idx] = right_key(b, p, k);
-            if (vec->IsNull(idx)) {
-              has_null = true;
-              break;
-            }
-            h = CombineHash(h, vec->HashAt(idx));
+    for (uint32_t b = 0; b < right_batches_.size(); ++b) {
+      const Batch& batch = right_batches_[b];
+      const uint32_t active = static_cast<uint32_t>(batch.NumActive());
+      for (uint32_t p = 0; p < active; ++p) {
+        context_->ChargeCpu(cpu.ops_per_hash + cpu.ops_per_tuple);
+        build_bytes += ApproxBatchRowBytes(batch, batch.sel[p]);
+        size_t h = kHashSeed;
+        bool has_null = false;
+        for (size_t k = 0; k < num_keys; ++k) {
+          auto [vec, idx] = right_key(b, p, k);
+          if (vec->IsNull(idx)) {
+            has_null = true;
+            break;
           }
-          if (has_null) continue;  // NULL keys never join
-          table[h].push_back(RowRef{b, p});
+          h = CombineHash(h, vec->HashAt(idx));
         }
+        if (has_null) continue;  // NULL keys never join
+        table[h].push_back(RowRef{b, p});
       }
     }
     if (build_bytes > static_cast<double>(context_->work_mem_bytes())) {
@@ -1034,130 +972,87 @@ class HashJoinOp final : public BatchOp {
       context_->ChargeSpillRead(pages);
     }
 
-    const bool parallel_probe =
-        workers_ != nullptr && workers_->size() > 1 && !left_batches_.empty();
-    if (parallel_probe) {
-      // Probe morsels (see morsel.h): workers probe contiguous global
-      // row ranges against the finished table — deliberately row-based,
-      // so morsel boundaries need not align with batch boundaries — and
-      // the coordinator replays each morsel's recorded charge sequence
-      // and concatenates its refs in morsel order. Charges, output
-      // order, and simulated time are bit-identical to the serial loop.
-      std::vector<uint64_t> prefix(left_batches_.size() + 1, 0);
-      for (size_t b = 0; b < left_batches_.size(); ++b) {
-        prefix[b + 1] = prefix[b] + left_batches_[b].NumActive();
-      }
-      const uint64_t total = prefix.back();
-      ProbeMorselSpec pspec;
-      pspec.table = &table;
-      pspec.left_batches = &left_batches_;
-      pspec.right_batches = &right_batches_;
-      pspec.left_col_slot =
-          left_col_ != nullptr ? static_cast<int>(left_col_->slot()) : -1;
-      pspec.right_col_slot =
-          right_col_ != nullptr ? static_cast<int>(right_col_->slot()) : -1;
-      pspec.left_key_cols = &left_key_cols_;
-      pspec.right_key_cols = &right_key_cols_;
-      pspec.num_keys = num_keys;
-      pspec.join_type = join_.join_type;
-      pspec.residual = residual_.get();
-      pspec.residual_ops = residual_ops_;
-      pspec.probe_prefix = &prefix;
-      pspec.cpu = &cpu;
-      std::vector<std::future<ProbeMorselResult>> futures;
-      for (uint64_t begin = 0; begin < total;
-           begin += Morsel::kRecordsPerMorsel) {
-        const uint64_t end =
-            std::min<uint64_t>(total, begin + Morsel::kRecordsPerMorsel);
-        futures.push_back(workers_->Submit(
-            [&pspec, begin, end] { return RunProbeMorsel(pspec, begin, end); }));
-      }
-      for (std::future<ProbeMorselResult>& future : futures) {
-        ProbeMorselResult probed = future.get();
-        ReplayCharges(context_, probed.events);
-        out_refs_.insert(out_refs_.end(), probed.refs.begin(),
-                         probed.refs.end());
-      }
-    } else {
-      for (uint32_t b = 0; b < left_batches_.size(); ++b) {
-        const Batch& batch = left_batches_[b];
-        const uint32_t active = static_cast<uint32_t>(batch.NumActive());
-        for (uint32_t p = 0; p < active; ++p) {
-          context_->ChargeCpu(cpu.ops_per_hash);
-          size_t h = kHashSeed;
-          bool has_null = false;
-          for (size_t k = 0; k < num_keys; ++k) {
-            auto [vec, idx] = left_key(b, p, k);
-            if (vec->IsNull(idx)) {
-              has_null = true;
-              break;
-            }
-            h = CombineHash(h, vec->HashAt(idx));
+    // Budget check point per probe batch: the whole probe runs inside one
+    // Next call, and a join far over its budget would otherwise hold all
+    // of its output refs before the check after Build sees the overrun.
+    // Simulated charges only grow, so a query that stops here would have
+    // stopped there too.
+    BudgetGuard* const guard = context_->budget_guard();
+    for (uint32_t b = 0; b < left_batches_.size(); ++b) {
+      if (guard != nullptr) VDB_RETURN_NOT_OK(guard->Check());
+      const Batch& batch = left_batches_[b];
+      const uint32_t active = static_cast<uint32_t>(batch.NumActive());
+      for (uint32_t p = 0; p < active; ++p) {
+        context_->ChargeCpu(cpu.ops_per_hash);
+        size_t h = kHashSeed;
+        bool has_null = false;
+        for (size_t k = 0; k < num_keys; ++k) {
+          auto [vec, idx] = left_key(b, p, k);
+          if (vec->IsNull(idx)) {
+            has_null = true;
+            break;
           }
-          bool matched = false;
-          if (!has_null) {
-            auto it = table.find(h);
-            if (it != table.end()) {
-              for (const RowRef& rr : it->second) {
-                // Equality before any charge: collisions stay free.
-                bool equal = true;
-                for (size_t k = 0; k < num_keys; ++k) {
-                  auto [lv, li] = left_key(b, p, k);
-                  auto [rv, ri] = right_key(rr.batch, rr.pos, k);
-                  if (catalog::CompareAt(*lv, li, *rv, ri) != 0) {
-                    equal = false;
-                    break;
-                  }
+          h = CombineHash(h, vec->HashAt(idx));
+        }
+        bool matched = false;
+        if (!has_null) {
+          auto it = table.find(h);
+          if (it != table.end()) {
+            for (const RowRef& rr : it->second) {
+              // Equality before any charge: collisions stay free.
+              bool equal = true;
+              for (size_t k = 0; k < num_keys; ++k) {
+                auto [lv, li] = left_key(b, p, k);
+                auto [rv, ri] = right_key(rr.batch, rr.pos, k);
+                if (catalog::CompareAt(*lv, li, *rv, ri) != 0) {
+                  equal = false;
+                  break;
                 }
-                if (!equal) continue;
-                context_->ChargeCpu(cpu.ops_per_comparison +
-                                    residual_ops_ * cpu.ops_per_operator);
-                bool passes = true;
-                if (residual_ != nullptr) {
-                  const Batch& rb = right_batches_[rr.batch];
-                  Tuple combined_row =
-                      ConcatRows(batch.RowAsTuple(batch.sel[p]),
-                                 rb.RowAsTuple(rb.sel[rr.pos]));
-                  passes = EvaluatesToTrue(*residual_, combined_row);
-                }
-                if (!passes) continue;
-                matched = true;
-                if (join_.join_type == LogicalJoinType::kInner ||
-                    join_.join_type == LogicalJoinType::kLeft) {
-                  context_->ChargeCpu(cpu.ops_per_tuple);
-                  out_refs_.push_back(OutRef{RowRef{b, p}, rr});
-                } else if (join_.join_type == LogicalJoinType::kSemi ||
-                           join_.join_type == LogicalJoinType::kAnti) {
-                  break;  // one match is enough
-                }
+              }
+              if (!equal) continue;
+              context_->ChargeCpu(cpu.ops_per_comparison +
+                                  residual_ops_ * cpu.ops_per_operator);
+              bool passes = true;
+              if (residual_ != nullptr) {
+                const Batch& rb = right_batches_[rr.batch];
+                Tuple combined_row = ConcatRows(batch.RowAsTuple(batch.sel[p]),
+                                                rb.RowAsTuple(rb.sel[rr.pos]));
+                passes = EvaluatesToTrue(*residual_, combined_row);
+              }
+              if (!passes) continue;
+              matched = true;
+              if (join_.join_type == LogicalJoinType::kInner ||
+                  join_.join_type == LogicalJoinType::kLeft) {
+                context_->ChargeCpu(cpu.ops_per_tuple);
+                out_refs_.push_back(OutRef{RowRef{b, p}, rr});
+              } else if (join_.join_type == LogicalJoinType::kSemi ||
+                         join_.join_type == LogicalJoinType::kAnti) {
+                break;  // one match is enough
               }
             }
           }
-          switch (join_.join_type) {
-            case LogicalJoinType::kLeft:
-              if (!matched) {
-                context_->ChargeCpu(cpu.ops_per_tuple);
-                out_refs_.push_back(
-                    OutRef{RowRef{b, p}, RowRef{kNullBatch, 0}});
-              }
-              break;
-            case LogicalJoinType::kSemi:
-              if (matched) {
-                context_->ChargeCpu(cpu.ops_per_tuple);
-                out_refs_.push_back(
-                    OutRef{RowRef{b, p}, RowRef{kNullBatch, 0}});
-              }
-              break;
-            case LogicalJoinType::kAnti:
-              if (!matched) {
-                context_->ChargeCpu(cpu.ops_per_tuple);
-                out_refs_.push_back(
-                    OutRef{RowRef{b, p}, RowRef{kNullBatch, 0}});
-              }
-              break;
-            default:
-              break;
-          }
+        }
+        switch (join_.join_type) {
+          case LogicalJoinType::kLeft:
+            if (!matched) {
+              context_->ChargeCpu(cpu.ops_per_tuple);
+              out_refs_.push_back(OutRef{RowRef{b, p}, RowRef{kNullBatch, 0}});
+            }
+            break;
+          case LogicalJoinType::kSemi:
+            if (matched) {
+              context_->ChargeCpu(cpu.ops_per_tuple);
+              out_refs_.push_back(OutRef{RowRef{b, p}, RowRef{kNullBatch, 0}});
+            }
+            break;
+          case LogicalJoinType::kAnti:
+            if (!matched) {
+              context_->ChargeCpu(cpu.ops_per_tuple);
+              out_refs_.push_back(OutRef{RowRef{b, p}, RowRef{kNullBatch, 0}});
+            }
+            break;
+          default:
+            break;
         }
       }
     }
@@ -1175,7 +1070,6 @@ class HashJoinOp final : public BatchOp {
   }
 
   ExecutionContext* context_;
-  util::ThreadPool* workers_;
   const optimizer::PhysHashJoin& join_;
   std::vector<BoundExprPtr> left_keys_;
   std::vector<BoundExprPtr> right_keys_;
@@ -1396,315 +1290,6 @@ class HashAggregateOp final : public BatchOp {
   std::unique_ptr<BatchOp> child_;
   bool built_ = false;
   RowsEmitter emitter_;
-};
-
-/// Coordinator side of a morsel-parallel pipeline (see morsel.h): slices
-/// the scan into morsels, keeps a bounded window of them in flight on the
-/// worker pool, and emits each worker batch after replaying its recorded
-/// charges, in strict morsel order — so rows, simulated charges, and
-/// buffer-pool state are bit-identical to the serial pipeline. With an
-/// aggregate terminal it instead merges the workers' partial groups in
-/// morsel order (first-appearance order equals the serial insertion
-/// order) and finalizes exactly like HashAggregateOp.
-class MorselPipelineOp final : public BatchOp {
- public:
-  struct Stage {
-    MorselPipelineSpec::Stage::Kind kind =
-        MorselPipelineSpec::Stage::Kind::kFilter;
-    BoundExprPtr filter;                // kFilter
-    std::vector<BoundExprPtr> project;  // kProject
-  };
-
-  MorselPipelineOp(ExecutionContext* context, storage::BufferPool* pool,
-                   util::ThreadPool* workers,
-                   const optimizer::PhysSeqScan& scan,
-                   BoundExprPtr scan_filter, std::vector<uint8_t> wanted,
-                   std::vector<Stage> stages,
-                   const optimizer::PhysHashAggregate* aggregate,
-                   std::vector<BoundExprPtr> group_exprs,
-                   std::vector<plan::AggSpec> aggs)
-      : BatchOp(aggregate != nullptr ? "morsel_aggregate"
-                                     : "morsel_pipeline"),
-        context_(context),
-        workers_(workers),
-        scan_filter_(std::move(scan_filter)),
-        wanted_(std::move(wanted)),
-        stages_(std::move(stages)),
-        agg_node_(aggregate),
-        group_exprs_(std::move(group_exprs)),
-        aggs_(std::move(aggs)),
-        dispatcher_(context, pool, scan.table->heap.get(),
-                    context->zone_maps_enabled() && !scan.prune_spec.empty()
-                        ? scan.table->heap->ComputePruneBitmap(scan.prune_spec)
-                        : std::vector<uint8_t>{}) {
-    for (const catalog::Column& column : scan.table->schema.columns()) {
-      scan_types_.push_back(column.type);
-    }
-    spec_.schema = &scan.table->schema;
-    spec_.scan_types = scan_types_;
-    spec_.wanted = wanted_.empty() ? nullptr : &wanted_;
-    spec_.scan_filter = scan_filter_.get();
-    spec_.scan_filter_ops =
-        scan_filter_ != nullptr ? scan_filter_->OpCount() : 0.0;
-    for (const Stage& stage : stages_) {
-      MorselPipelineSpec::Stage s;
-      s.kind = stage.kind;
-      if (stage.kind == MorselPipelineSpec::Stage::Kind::kFilter) {
-        s.filter = stage.filter.get();
-        s.ops = stage.filter->OpCount();
-      } else {
-        s.project = &stage.project;
-        s.ops = TotalOps(stage.project);
-      }
-      spec_.stages.push_back(s);
-    }
-    if (agg_node_ != nullptr) {
-      spec_.aggregate = true;
-      spec_.group_exprs = &group_exprs_;
-      spec_.aggs = &aggs_;
-      spec_.group_col = SingleColumnKey(group_exprs_);
-      spec_.group_ops = TotalOps(group_exprs_);
-      for (const plan::AggSpec& spec : aggs_) {
-        spec_.agg_ops +=
-            1.0 + (spec.arg != nullptr ? spec.arg->OpCount() : 0);
-      }
-      if (UseSharedAggregate(agg_node_->estimated_rows,
-                             group_exprs_.size())) {
-        shared_index_ = std::make_unique<SharedGroupIndex>();
-        spec_.shared_groups = shared_index_.get();
-      }
-    }
-    spec_.cpu = &context->cpu_model();
-  }
-
-  ~MorselPipelineOp() override {
-    // Workers reference spec_ and the op-owned expressions; drain any
-    // still-running morsels before those die (e.g. after an early exit).
-    for (std::future<MorselResult>& future : inflight_) {
-      if (future.valid()) future.wait();
-    }
-  }
-
- protected:
-  Result<bool> NextImpl(Batch* out) override {
-    if (agg_node_ != nullptr) {
-      if (!built_) {
-        built_ = true;
-        VDB_RETURN_NOT_OK(BuildAggregate());
-      }
-      return emitter_.Emit(out);
-    }
-    while (true) {
-      if (have_current_ && batch_cursor_ < current_.batches.size()) {
-        MorselResult::BatchOut& batch_out = current_.batches[batch_cursor_++];
-        ReplayCharges(context_, batch_out.events);
-        rows_in_ += batch_out.rows_scanned;
-        *out = std::move(batch_out.batch);
-        VDB_RETURN_NOT_OK(Pump());
-        return true;
-      }
-      if (have_current_) {
-        pending_trailing_.insert(pending_trailing_.end(),
-                                 current_.trailing.begin(),
-                                 current_.trailing.end());
-        have_current_ = false;
-      }
-      VDB_RETURN_NOT_OK(Pump());
-      if (inflight_.empty()) {
-        // Exhausted. The trailing empty-page fetches replay now, exactly
-        // where the serial scan charges them (its final, empty fill).
-        ReplayCharges(context_, pending_trailing_);
-        pending_trailing_.clear();
-        return false;
-      }
-      current_ = inflight_.front().get();
-      inflight_.pop_front();
-      VDB_RETURN_NOT_OK(current_.status);
-      batch_cursor_ = 0;
-      have_current_ = true;
-    }
-  }
-
- private:
-  /// Tops the in-flight window up to 2x the pool size: reads pages on
-  /// the coordinator (strict serial order, so the buffer pool sees the
-  /// serial fetch sequence) and hands the morsels to workers.
-  Status Pump() {
-    const size_t window = 2 * static_cast<size_t>(workers_->size());
-    while (!dispatcher_done_ && inflight_.size() < window) {
-      Morsel morsel;
-      VDB_ASSIGN_OR_RETURN(bool more, dispatcher_.NextMorsel(&morsel));
-      if (!more) {
-        dispatcher_done_ = true;
-        break;
-      }
-      const MorselPipelineSpec* spec = &spec_;
-      inflight_.push_back(
-          workers_->Submit([spec, m = std::move(morsel)]() mutable {
-            return RunMorsel(*spec, std::move(m));
-          }));
-    }
-    return Status::OK();
-  }
-
-  /// Aggregate mode: drains every morsel, replaying charges and merging
-  /// partial groups in morsel order, then finalizes like the serial op.
-  Status BuildAggregate() {
-    const CpuWorkModel& cpu = context_->cpu_model();
-    const size_t num_keys = group_exprs_.size();
-    const bool shared = shared_index_ != nullptr;
-    std::vector<PartialGroup> merged;
-    std::unordered_map<size_t, std::vector<uint32_t>> buckets;
-    /// Shared-index mode: partial states per dense shared-group id, no
-    /// coordinator-side re-hashing or key compares.
-    std::vector<std::vector<AggState>> by_gid;
-    const size_t estimate = EstimateReserve(agg_node_->estimated_rows);
-    if (shared) {
-      by_gid.reserve(estimate);
-    } else {
-      merged.reserve(estimate);
-      buckets.reserve(estimate);
-    }
-    uint64_t input_rows = 0;
-    VDB_RETURN_NOT_OK(Pump());
-    while (!inflight_.empty()) {
-      // Per-morsel budget check point: an over-budget abort returns here
-      // mid-drain, and the destructor waits out the in-flight morsels.
-      if (BudgetGuard* guard = context_->budget_guard()) {
-        VDB_RETURN_NOT_OK(guard->Check());
-      }
-      MorselResult result = inflight_.front().get();
-      inflight_.pop_front();
-      VDB_RETURN_NOT_OK(result.status);
-      VDB_RETURN_NOT_OK(Pump());  // refill the window while merging
-      for (MorselResult::BatchOut& batch_out : result.batches) {
-        ReplayCharges(context_, batch_out.events);
-        rows_in_ += batch_out.rows_scanned;
-        input_rows += batch_out.agg_rows;
-      }
-      pending_trailing_.insert(pending_trailing_.end(),
-                               result.trailing.begin(),
-                               result.trailing.end());
-      for (PartialGroup& group : result.groups) {
-        if (shared) {
-          // Morsels drain in dispatch order, so each gid's partials merge
-          // in exactly the order the keyed path below would merge them.
-          if (group.gid >= by_gid.size()) by_gid.resize(group.gid + 1);
-          std::vector<AggState>& dst = by_gid[group.gid];
-          if (dst.empty()) {
-            dst = std::move(group.states);
-          } else {
-            for (size_t a = 0; a < aggs_.size(); ++a) {
-              dst[a].Merge(group.states[a]);
-            }
-          }
-          continue;
-        }
-        if (num_keys == 0) {
-          if (merged.empty()) {
-            merged.push_back(std::move(group));
-          } else {
-            for (size_t a = 0; a < aggs_.size(); ++a) {
-              merged.front().states[a].Merge(group.states[a]);
-            }
-          }
-          continue;
-        }
-        const size_t h = HashValues(group.key.data(), num_keys);
-        std::vector<uint32_t>& bucket = buckets[h];
-        PartialGroup* dst = nullptr;
-        for (uint32_t gi : bucket) {
-          if (KeysEqual(merged[gi].key.data(), group.key.data(), num_keys)) {
-            dst = &merged[gi];
-            break;
-          }
-        }
-        if (dst == nullptr) {
-          bucket.push_back(static_cast<uint32_t>(merged.size()));
-          merged.push_back(std::move(group));
-        } else {
-          for (size_t a = 0; a < aggs_.size(); ++a) {
-            dst->states[a].Merge(group.states[a]);
-          }
-        }
-      }
-    }
-    ReplayCharges(context_, pending_trailing_);
-    pending_trailing_.clear();
-
-    // Memory-pressure model (DESIGN.md §14): merged group and input-row
-    // totals equal the serial engine's, so this charges the identical
-    // spill pass in the identical position (after the drain, before
-    // finalization).
-    AggSpillStats spill_stats;
-    spill_stats.groups = shared ? shared_index_->size() : merged.size();
-    spill_stats.input_rows = input_rows;
-    spill_stats.num_keys = num_keys;
-    spill_stats.num_aggs = aggs_.size();
-    spill_stats.input_cols = agg_node_->children[0]->output.size();
-    if (AggSpillTriggered(spill_stats, context_->work_mem_bytes())) {
-      ChargeAggSpill(context_, spill_stats);
-    }
-
-    std::vector<Tuple> rows;
-    if (shared) {
-      // Emit in first-seen order — the serial insertion order — with the
-      // identical per-group finalize charge.
-      std::vector<const SharedGroupIndex::Entry*> order =
-          shared_index_->GroupsInFirstSeenOrder();
-      rows.reserve(order.size());
-      for (const SharedGroupIndex::Entry* entry : order) {
-        context_->ChargeCpu(cpu.ops_per_tuple);
-        Tuple row = entry->key;
-        const std::vector<AggState>& states = by_gid[entry->gid];
-        for (size_t a = 0; a < aggs_.size(); ++a) {
-          row.push_back(states[a].Finalize(aggs_[a]));
-        }
-        rows.push_back(std::move(row));
-      }
-    } else if (merged.empty() && group_exprs_.empty()) {
-      // Global aggregate over zero rows yields one row of initial values.
-      Tuple row;
-      for (const plan::AggSpec& spec : aggs_) {
-        row.push_back(AggState().Finalize(spec));
-      }
-      context_->ChargeCpu(cpu.ops_per_tuple);
-      rows.push_back(std::move(row));
-    } else {
-      rows.reserve(merged.size());
-      for (const PartialGroup& group : merged) {
-        context_->ChargeCpu(cpu.ops_per_tuple);
-        Tuple row = group.key;
-        for (size_t a = 0; a < aggs_.size(); ++a) {
-          row.push_back(group.states[a].Finalize(aggs_[a]));
-        }
-        rows.push_back(std::move(row));
-      }
-    }
-    emitter_.SetRows(std::move(rows), DeclaredTypes(agg_node_->output));
-    return Status::OK();
-  }
-
-  ExecutionContext* context_;
-  util::ThreadPool* workers_;
-  BoundExprPtr scan_filter_;
-  std::vector<uint8_t> wanted_;
-  std::vector<Stage> stages_;
-  const optimizer::PhysHashAggregate* agg_node_;
-  std::vector<BoundExprPtr> group_exprs_;
-  std::vector<plan::AggSpec> aggs_;
-  std::vector<TypeId> scan_types_;
-  std::unique_ptr<SharedGroupIndex> shared_index_;
-  MorselPipelineSpec spec_;
-  MorselDispatcher dispatcher_;
-  bool dispatcher_done_ = false;
-  std::deque<std::future<MorselResult>> inflight_;
-  MorselResult current_;
-  size_t batch_cursor_ = 0;
-  bool have_current_ = false;
-  std::vector<ChargeEvent> pending_trailing_;
-  bool built_ = false;       // aggregate mode
-  RowsEmitter emitter_;      // aggregate mode
 };
 
 /// Merge join delegates the join loop (and its charges) to the shared
@@ -1941,12 +1526,6 @@ Result<std::unique_ptr<BatchOp>> BatchExecutor::Build(
     ops_.push_back(op.get());
     return op;
   }
-  VDB_ASSIGN_OR_RETURN(std::unique_ptr<BatchOp> parallel,
-                       TryBuildMorselPipeline(node));
-  if (parallel != nullptr) {
-    ops_.push_back(parallel.get());
-    return parallel;
-  }
   switch (node.op) {
     case optimizer::PhysOp::kSeqScan: {
       const auto& scan = static_cast<const optimizer::PhysSeqScan&>(node);
@@ -2072,9 +1651,8 @@ Result<std::unique_ptr<BatchOp>> BatchExecutor::Build(
         VDB_ASSIGN_OR_RETURN(residual, ResolveExpr(*join.residual, combined));
       }
       op = std::make_unique<HashJoinOp>(
-          context_, workers_, join, std::move(left_keys),
-          std::move(right_keys), std::move(residual), std::move(left),
-          std::move(right));
+          context_, join, std::move(left_keys), std::move(right_keys),
+          std::move(residual), std::move(left), std::move(right));
       break;
     }
     case optimizer::PhysOp::kMergeJoin: {
@@ -2152,92 +1730,6 @@ Result<std::unique_ptr<BatchOp>> BatchExecutor::Build(
   }
   if (op == nullptr) return Status::Internal("unhandled physical operator");
   ops_.push_back(op.get());
-  return op;
-}
-
-Result<std::unique_ptr<BatchOp>> BatchExecutor::TryBuildMorselPipeline(
-    const PhysicalNode& node) {
-  std::unique_ptr<BatchOp> none;
-  if (workers_ == nullptr || pool_ == nullptr || workers_->size() < 2) {
-    return none;
-  }
-  // Match [non-DISTINCT HashAggregate →] (Filter | Project)* → SeqScan.
-  const optimizer::PhysHashAggregate* aggregate = nullptr;
-  const PhysicalNode* cursor = &node;
-  if (cursor->op == optimizer::PhysOp::kHashAggregate) {
-    const auto& agg =
-        static_cast<const optimizer::PhysHashAggregate&>(*cursor);
-    bool mergeable = true;
-    for (const plan::AggSpec& spec : agg.aggs) {
-      // DISTINCT partials cannot be merged (see AggState::Merge); the
-      // aggregate stays serial, but its input chain may still match when
-      // the serial HashAggregateOp builds its child recursively.
-      if (spec.distinct) mergeable = false;
-    }
-    if (mergeable) {
-      aggregate = &agg;
-      cursor = agg.children[0].get();
-    }
-  }
-  std::vector<const PhysicalNode*> chain;  // top-down
-  while (cursor->op == optimizer::PhysOp::kFilter ||
-         cursor->op == optimizer::PhysOp::kProject) {
-    chain.push_back(cursor);
-    cursor = cursor->children[0].get();
-  }
-  if (cursor->op != optimizer::PhysOp::kSeqScan) return none;
-  const auto& scan = static_cast<const optimizer::PhysSeqScan&>(*cursor);
-
-  BoundExprPtr scan_filter;
-  if (scan.filter != nullptr) {
-    VDB_ASSIGN_OR_RETURN(scan_filter, ResolveExpr(*scan.filter, scan.output));
-  }
-  std::vector<MorselPipelineOp::Stage> stages;  // bottom-up
-  for (auto it = chain.rbegin(); it != chain.rend(); ++it) {
-    const PhysicalNode& stage_node = **it;
-    MorselPipelineOp::Stage stage;
-    if (stage_node.op == optimizer::PhysOp::kFilter) {
-      const auto& filter =
-          static_cast<const optimizer::PhysFilter&>(stage_node);
-      stage.kind = MorselPipelineSpec::Stage::Kind::kFilter;
-      VDB_ASSIGN_OR_RETURN(
-          stage.filter,
-          ResolveExpr(*filter.condition, filter.children[0]->output));
-    } else {
-      const auto& project =
-          static_cast<const optimizer::PhysProject&>(stage_node);
-      stage.kind = MorselPipelineSpec::Stage::Kind::kProject;
-      for (const BoundExprPtr& expr : project.exprs) {
-        VDB_ASSIGN_OR_RETURN(
-            BoundExprPtr resolved,
-            ResolveExpr(*expr, project.children[0]->output));
-        stage.project.push_back(std::move(resolved));
-      }
-    }
-    stages.push_back(std::move(stage));
-  }
-  std::vector<BoundExprPtr> group_exprs;
-  std::vector<plan::AggSpec> aggs;
-  if (aggregate != nullptr) {
-    for (const BoundExprPtr& expr : aggregate->group_exprs) {
-      VDB_ASSIGN_OR_RETURN(
-          BoundExprPtr resolved,
-          ResolveExpr(*expr, aggregate->children[0]->output));
-      group_exprs.push_back(std::move(resolved));
-    }
-    for (const plan::AggSpec& spec : aggregate->aggs) {
-      plan::AggSpec resolved = spec.Clone();
-      if (resolved.arg != nullptr) {
-        VDB_RETURN_NOT_OK(resolved.arg->ResolveSlots(
-            plan::MakeLayout(aggregate->children[0]->output)));
-      }
-      aggs.push_back(std::move(resolved));
-    }
-  }
-  std::unique_ptr<BatchOp> op = std::make_unique<MorselPipelineOp>(
-      context_, pool_, workers_, scan, std::move(scan_filter),
-      ScanWantedMask(scan.output, scan.table->schema.NumColumns(), needed_),
-      std::move(stages), aggregate, std::move(group_exprs), std::move(aggs));
   return op;
 }
 

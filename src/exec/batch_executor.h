@@ -14,9 +14,7 @@
 #include "exec/execution_context.h"
 #include "exec/operator_common.h"
 #include "optimizer/physical.h"
-#include "storage/buffer_pool.h"
 #include "util/result.h"
-#include "util/thread_pool.h"
 
 namespace vdb::exec {
 
@@ -73,30 +71,17 @@ class BatchOp {
   BudgetGuard* guard_ = nullptr;
 };
 
-/// Vectorized executor: runs physical plans batch-at-a-time (DESIGN.md
-/// §12). Charges the ExecutionContext exactly the same simulated CPU and
-/// I/O as the row-at-a-time Executor — batched as per-batch lump sums —
-/// and touches buffer-pool pages in the same order, so measured times
-/// agree with the row engine to float rounding. Under LIMIT the subtree
-/// the row engine would run with a finite row budget is delegated to the
-/// row engine itself, so even data-dependent early exits charge
-/// identically on both engines.
-///
-/// With a thread pool attached (see the constructor), eligible scan
-/// pipelines — scan → filter/project chains, optionally topped by a
-/// non-DISTINCT hash aggregate — run morsel-parallel on the pool while
-/// every simulated charge is recorded by the workers and replayed by the
-/// coordinator in serial order, keeping results and simulated time
-/// bit-identical to a single-threaded run (see morsel.h).
+/// Vectorized executor: runs physical plans batch-at-a-time on the
+/// calling thread (DESIGN.md §12). Charges the ExecutionContext exactly
+/// the same simulated CPU and I/O as the row-at-a-time Executor — batched
+/// as per-batch lump sums — and touches buffer-pool pages in the same
+/// order, so measured times agree with the row engine to float rounding.
+/// Under LIMIT the subtree the row engine would run with a finite row
+/// budget is delegated to the row engine itself, so even data-dependent
+/// early exits charge identically on both engines.
 class BatchExecutor {
  public:
-  /// `pool` and `workers` enable the morsel-parallel operators: when both
-  /// are non-null and `workers->size() > 1`, eligible pipelines fan out
-  /// across the pool. With the defaults the executor is serial.
-  explicit BatchExecutor(ExecutionContext* context,
-                         storage::BufferPool* pool = nullptr,
-                         util::ThreadPool* workers = nullptr)
-      : context_(context), pool_(pool), workers_(workers) {}
+  explicit BatchExecutor(ExecutionContext* context) : context_(context) {}
 
   BatchExecutor(const BatchExecutor&) = delete;
   BatchExecutor& operator=(const BatchExecutor&) = delete;
@@ -113,14 +98,7 @@ class BatchExecutor {
   Result<std::unique_ptr<BatchOp>> Build(const optimizer::PhysicalNode& node,
                                          size_t budget);
 
-  /// Returns a MorselPipelineOp for `node` if it matches an eligible
-  /// parallel pipeline shape, nullptr to fall back to the serial build.
-  Result<std::unique_ptr<BatchOp>> TryBuildMorselPipeline(
-      const optimizer::PhysicalNode& node);
-
   ExecutionContext* context_;
-  storage::BufferPool* pool_;
-  util::ThreadPool* workers_;
   std::vector<BatchOp*> ops_;
   /// Columns consumed by the plan being built; computed once per Run.
   NeededColumns needed_;

@@ -42,14 +42,14 @@ struct QueryBudget {
 class ExecutionContext;
 
 /// Cooperative budget enforcement for one query. The executors call
-/// Check() at batch / morsel / operator boundaries (and every few
+/// Check() at batch / operator boundaries (and every few
 /// thousand rows inside long scan loops); the first violated axis turns
 /// into a typed StatusCode::kBudgetExceeded error that unwinds the
 /// executor like any other failure — the ExecutionContext's RAII listener
 /// detach makes the abort leak-free by construction.
 ///
-/// Not thread-safe: one guard belongs to one query on one thread (morsel
-/// workers never see the guard; the coordinator checks between morsels).
+/// Not thread-safe: one guard belongs to one query, which runs on one
+/// thread.
 class BudgetGuard {
  public:
   BudgetGuard(const QueryBudget& budget, const ExecutionContext* context)

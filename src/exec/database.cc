@@ -21,11 +21,6 @@ Database::Database() {
   if (mode != nullptr && std::strcmp(mode, "row") == 0) {
     exec_mode_ = ExecMode::kRow;
   }
-  const char* threads = std::getenv("VDB_EXEC_THREADS");
-  if (threads != nullptr) {
-    const int n = std::atoi(threads);
-    if (n > 1) query_options_.num_threads = n;
-  }
   // Spill-to-disk mechanisms are on by default; VDB_SPILL=off keeps the
   // analytic charge-only model (identical rows and charges either way).
   const char* spill = std::getenv("VDB_SPILL");
@@ -100,18 +95,7 @@ Result<QueryResult> Database::ExecutePlan(
   }
   std::vector<catalog::Tuple> rows;
   if (exec_mode_ == ExecMode::kBatch) {
-    // Morsel-parallel execution: the pool is created lazily (and resized
-    // on knob changes) so serial databases never spawn threads.
-    util::ThreadPool* workers = nullptr;
-    if (query_options_.num_threads > 1) {
-      if (workers_ == nullptr ||
-          workers_->size() != query_options_.num_threads) {
-        workers_ =
-            std::make_unique<util::ThreadPool>(query_options_.num_threads);
-      }
-      workers = workers_.get();
-    }
-    BatchExecutor executor(&context, pool_.get(), workers);
+    BatchExecutor executor(&context);
     VDB_ASSIGN_OR_RETURN(rows, executor.Run(plan));
   } else {
     Executor executor(&context);

@@ -108,17 +108,20 @@ Result<std::vector<Tuple>> Executor::RunSeqScan(
   const double filter_ops = filter != nullptr ? filter->OpCount() : 0.0;
   BudgetGuard* const guard = context_->budget_guard();
   const storage::HeapFile& heap = *scan.table->heap;
-  // Page-wise scan sharing the zone-map prune decision with the batch and
-  // morsel engines (HeapFile::ComputePruneBitmap): a pruned page is
-  // skipped before the fetch, so it charges no I/O and never touches the
-  // buffer pool. With nothing prunable the charge sequence is identical
-  // to the historical record-iterator path: one sequential fetch per
-  // page, then the per-record CPU charges of that page.
+  // Page-wise scan sharing the zone-map prune decision with the batch
+  // engine (HeapFile::ComputePruneBitmap): a pruned page is skipped
+  // before the fetch, so it charges no I/O and never touches the buffer
+  // pool. With nothing prunable the charge sequence is identical to the
+  // historical record-iterator path: one sequential fetch per page, then
+  // the per-record CPU charges of that page. Records are read from the
+  // pinned frame; the next page's read (or the return) releases the pin,
+  // and nothing between pages may call the pool, so each page is
+  // unpinned before the next fetch and eviction sees one pin at most.
   std::vector<uint8_t> prune;
   if (context_->zone_maps_enabled() && !scan.prune_spec.empty()) {
     prune = heap.ComputePruneBitmap(scan.prune_spec);
   }
-  std::string page_bytes;
+  storage::HeapFile::ScanPagePin pin;
   std::vector<storage::HeapFile::RecordView> records;
   size_t scanned = 0;
   for (size_t page = 0; page < heap.NumPages(); ++page) {
@@ -127,7 +130,7 @@ Result<std::vector<Tuple>> Executor::RunSeqScan(
       continue;
     }
     VDB_ASSIGN_OR_RETURN(bool more,
-                         heap.ReadPageForScan(page, &page_bytes, &records));
+                         heap.ReadPageForScanPinned(page, &pin, &records));
     if (!more) break;
     context_->AddPagesScanned(1);
     for (const storage::HeapFile::RecordView& view : records) {

@@ -93,28 +93,6 @@ Value AggState::Finalize(const plan::AggSpec& spec) const {
   return Value::Null(spec.output_type);
 }
 
-void AggState::Merge(const AggState& other) {
-  count += other.count;
-  sum += other.sum;
-  sum_is_double = sum_is_double || other.sum_is_double;
-  if (other.has_min_max) {
-    if (!has_min_max) {
-      min_value = other.min_value;
-      max_value = other.max_value;
-    } else {
-      // `other` covers later rows, so on ties the earlier (this) value
-      // stays — the same outcome as feeding Update the rows in order.
-      if (Value::Compare(other.min_value, min_value) < 0) {
-        min_value = other.min_value;
-      }
-      if (Value::Compare(other.max_value, max_value) > 0) {
-        max_value = other.max_value;
-      }
-    }
-    has_min_max = true;
-  }
-}
-
 Tuple ConcatRows(const Tuple& left, const Tuple& right) {
   Tuple out;
   out.reserve(left.size() + right.size());

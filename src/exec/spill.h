@@ -146,9 +146,10 @@ Result<std::vector<GraceEmit>> GraceHashJoin(ExecutionContext* context,
                                              SpillManager* spill,
                                              const GraceJoinSpec& spec);
 
-// --- Hash-aggregate spill accounting (integer, so the row engine, the
-// serial batch engine, and the morsel coordinator — which only sees
-// per-morsel totals — compute the identical trigger and charge).
+// --- Hash-aggregate spill accounting (integer totals, not per-row byte
+// sums, so the row engine, which counts a row at a time, and the batch
+// engine, which counts a batch at a time, compute the identical trigger
+// and charge).
 
 struct AggSpillStats {
   uint64_t groups = 0;

@@ -52,7 +52,6 @@ Result<RecordId> HeapFile::Insert(
   }
   Page* page = nullptr;
   PageId page_id = kInvalidPageId;
-  bool dirty_new_page = false;
   if (!pages_.empty()) {
     page_id = pages_.back();
     VDB_ASSIGN_OR_RETURN(page,
@@ -69,9 +68,7 @@ Result<RecordId> HeapFile::Insert(
     VDB_ASSIGN_OR_RETURN(page,
                          pool_->FetchPage(page_id, AccessPattern::kRandom));
     InitPage(page);
-    dirty_new_page = true;
   }
-  (void)dirty_new_page;
   const uint16_t num_slots = NumSlots(*page);
   const uint16_t new_offset =
       static_cast<uint16_t>(FreeOffset(*page) - record.size());
@@ -163,20 +160,6 @@ std::vector<uint8_t> HeapFile::ComputePruneBitmap(
     prune[i] = ZonePageCanPrune(entries[i], spec) ? 1 : 0;
   }
   return prune;
-}
-
-Result<bool> HeapFile::ReadPageForScan(
-    size_t page_index, std::string* storage,
-    std::vector<RecordView>* out) const {
-  out->clear();
-  if (page_index >= pages_.size()) return false;
-  const PageId page_id = pages_[page_index];
-  VDB_ASSIGN_OR_RETURN(
-      Page * page, pool_->FetchPage(page_id, AccessPattern::kSequential));
-  storage->assign(page->data(), kPageSize);
-  VDB_RETURN_NOT_OK(pool_->UnpinPage(page_id, /*dirty=*/false));
-  CollectLiveRecords(storage->data(), page_id, out);
-  return true;
 }
 
 Result<bool> HeapFile::ReadPageForScanPinned(

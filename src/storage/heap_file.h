@@ -81,15 +81,6 @@ class HeapFile {
     std::string_view data;
   };
 
-  /// Reads the `page_index`-th page (a sequential access) and fills `out`
-  /// with views of its live records, backed by `storage` (the raw page
-  /// bytes, reused across calls — views stay valid until the next call).
-  /// Returns false once `page_index` is past the last page. Used by the
-  /// morsel coordinator, which needs self-contained page bytes to hand
-  /// to workers.
-  Result<bool> ReadPageForScan(size_t page_index, std::string* storage,
-                               std::vector<RecordView>* out) const;
-
   /// Holds the buffer-pool pin backing a zero-copy page scan. Views from
   /// ReadPageForScanPinned stay valid until the next call with the same
   /// pin (which releases the previous page first) or Release(); the
@@ -115,11 +106,11 @@ class HeapFile {
     PageId page_id_ = kInvalidPageId;
   };
 
-  /// Zero-copy variant of ReadPageForScan for the serial batch executor:
-  /// record views point straight into the pinned frame (no page-sized
-  /// copy per page). The pin keeps the frame from being evicted while
-  /// the caller deserializes; page charges are identical to the copying
-  /// variant (same FetchPage access pattern).
+  /// Reads the `page_index`-th page (a sequential access) and fills `out`
+  /// with views of its live records, pointing straight into the pinned
+  /// frame (no page copy). The pin keeps the frame from being evicted
+  /// while the caller deserializes. Returns false once `page_index` is
+  /// past the last page. Both engines' sequential scans read through it.
   Result<bool> ReadPageForScanPinned(size_t page_index, ScanPagePin* pin,
                                      std::vector<RecordView>* out) const;
 
@@ -132,8 +123,8 @@ class HeapFile {
   /// Evaluates `spec` against every page's zone entry: out[i] is true when
   /// page i provably holds no qualifying row and can be skipped without a
   /// fetch. This is the single pruning decision point shared by the row
-  /// executor, the serial batch scan, and the morsel coordinator, so all
-  /// engines skip exactly the same pages.
+  /// executor and the batch scan, so both engines skip exactly the same
+  /// pages.
   std::vector<uint8_t> ComputePruneBitmap(const ScanPruneSpec& spec) const;
 
  private:

@@ -15,6 +15,7 @@
 #include "catalog/batch.h"
 #include "catalog/catalog.h"
 #include "exec/batch_executor.h"
+#include "exec/budget.h"
 #include "exec/database.h"
 #include "exec/execution_context.h"
 #include "exec/executor.h"
@@ -351,6 +352,46 @@ TEST_F(BatchEngineTest, MergeJoinStringsAcrossBatches) {
     EXPECT_EQ(row[1], row[5]);  // joined on name
     EXPECT_EQ(row[0], row[4]);  // names are unique, so ids agree too
   }
+}
+
+TEST_F(BatchEngineTest, BudgetStopsHashJoinAtTheNextProbeBatch) {
+  // The self-join on grp pairs each row with the 200 rows of its group:
+  // 520K pairs from a three-batch probe side. The hash join probes inside
+  // one Next call, so without a check per probe batch a query over its
+  // budget would pair every row (and hold every pair) before the guard
+  // sees the overrun.
+  auto plan =
+      db_.Prepare("SELECT COUNT(*) FROM t a JOIN t b ON a.grp = b.grp");
+  ASSERT_TRUE(plan.ok()) << plan.status();
+  ASSERT_EQ((*plan)->op, optimizer::PhysOp::kProject);
+  const optimizer::PhysicalNode* agg = (*plan)->children[0].get();
+  ASSERT_EQ(agg->op, optimizer::PhysOp::kHashAggregate);
+  ASSERT_EQ(agg->children[0]->op, optimizer::PhysOp::kHashJoin);
+
+  const uint64_t work_mem = 64ull << 20;
+  double full_cpu = 0.0;
+  {
+    ExecutionContext context(&vm_, db_.buffer_pool(), work_mem);
+    BatchExecutor executor(&context);
+    auto rows = executor.Run(**plan);
+    ASSERT_TRUE(rows.ok()) << rows.status();
+    ASSERT_EQ((*rows)[0][0], Value::Int64(kTableRows * (kTableRows / 13)));
+    full_cpu = context.CpuSeconds();
+  }
+
+  ExecutionContext context(&vm_, db_.buffer_pool(), work_mem);
+  QueryBudget budget;
+  budget.max_cpu_seconds = 0.1 * full_cpu;
+  BudgetGuard guard(budget, &context);
+  context.set_budget_guard(&guard);
+  BatchExecutor executor(&context);
+  auto aborted = executor.Run(**plan);
+  ASSERT_FALSE(aborted.ok());
+  EXPECT_TRUE(aborted.status().IsBudgetExceeded()) << aborted.status();
+  // The scans and the build charge under 1% of the query, and the first
+  // probe batch pairs 1024 of 2600 rows; finishing the probe would charge
+  // about half of it.
+  EXPECT_LT(context.CpuSeconds(), 0.3 * full_cpu);
 }
 
 }  // namespace

@@ -447,5 +447,78 @@ TEST_F(SqlExecTest, SortAboveReorderedJoinKeepsColumnOrder) {
   EXPECT_EQ(top[1][0].AsString(), "bob");
 }
 
+// Pins the row engine's page-scan traffic on a buffer pool smaller than
+// the table, so every fetch past the pool's capacity evicts: a cold full
+// scan with a filter, and a cold LIMIT scan that stops mid-table. The
+// pool counters and charges were recorded from the row scan that copied
+// each page out of the pool and unpinned it at once; reading the pinned
+// frame instead must leave every FetchPage/UnpinPage in the same order.
+// The self-join scans the table twice in one query. After each query no
+// page may stay pinned, the LIMIT's early exit included.
+TEST(RowScanTrafficTest, ColdScansOnASmallPoolArePinned) {
+  sim::VirtualMachine vm("vm", sim::MachineSpec::Small(),
+                         sim::HypervisorModel::Ideal(),
+                         sim::ResourceShare(1.0, 1.0, 1.0));
+  Database db;
+  ASSERT_TRUE(db.ApplyVmConfig(vm).ok());
+  auto table = db.catalog()->CreateTable(
+      "t", Schema({Column("id", TypeId::kInt64), Column("grp", TypeId::kInt64),
+                   Column("pad", TypeId::kString)}));
+  ASSERT_TRUE(table.ok());
+  for (int64_t i = 0; i < 4000; ++i) {
+    ASSERT_TRUE(db.catalog()
+                    ->Insert(*table, Tuple{Value::Int64(i),
+                                           Value::Int64((i * 7919) % 13),
+                                           Value::String(
+                                               "pad-" + std::to_string(i) +
+                                               "-xxxxxxxxxxxxxxxxxxxxxxxx")})
+                    .ok());
+  }
+  ASSERT_TRUE(db.catalog()->AnalyzeAll().ok());
+  ASSERT_TRUE(db.buffer_pool()->Resize(16).ok());
+  ASSERT_EQ((*table)->heap->NumPages(), 30u);
+  db.set_exec_mode(ExecMode::kRow);
+
+  struct Expected {
+    const char* sql;
+    size_t rows;
+    uint64_t hits;
+    uint64_t sequential_misses;
+    uint64_t random_misses;
+    uint64_t page_writes;
+    uint64_t physical_reads;
+    double cpu_seconds;
+    double io_seconds;
+    double elapsed_seconds;
+  };
+  const Expected cases[] = {
+      {"select id, pad from t where grp = 3", 308, 0, 30, 0, 0, 30,
+       0.01772399999999854, 0.02343750000000001, 0.041161500000001773},
+      {"select id, pad from t limit 3000", 3000, 0, 22, 0, 0, 22,
+       0.017999999999998888, 0.017187500000000005, 0.035187500000002286},
+      {"select count(*) from t a join t b on a.id = b.id", 1, 0, 60, 0, 0,
+       60, 0.087606000000003334, 0.046874999999999958, 0.13448100000006466},
+  };
+  for (const Expected& expected : cases) {
+    SCOPED_TRACE(expected.sql);
+    ASSERT_TRUE(db.DropCaches().ok());
+    db.buffer_pool()->ResetStats();
+    auto result = db.Execute(expected.sql, vm);
+    ASSERT_TRUE(result.ok()) << result.status();
+    // EvictAll fails while any frame is pinned.
+    EXPECT_TRUE(db.DropCaches().ok());
+    const storage::BufferPoolStats& stats = db.buffer_pool()->stats();
+    EXPECT_EQ(result->rows.size(), expected.rows);
+    EXPECT_EQ(stats.hits, expected.hits);
+    EXPECT_EQ(stats.sequential_misses, expected.sequential_misses);
+    EXPECT_EQ(stats.random_misses, expected.random_misses);
+    EXPECT_EQ(stats.page_writes, expected.page_writes);
+    EXPECT_EQ(result->physical_reads, expected.physical_reads);
+    EXPECT_DOUBLE_EQ(result->cpu_seconds, expected.cpu_seconds);
+    EXPECT_DOUBLE_EQ(result->io_seconds, expected.io_seconds);
+    EXPECT_DOUBLE_EQ(result->elapsed_seconds, expected.elapsed_seconds);
+  }
+}
+
 }  // namespace
 }  // namespace vdb::exec
